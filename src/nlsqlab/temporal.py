@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +107,13 @@ class TemporalMode:
                 f"n={self.t.size})")
 
 
+def _captured_norm(gamma_min: float, span: float) -> float:
+    """Share of a packet's norm that a grid reaching `span` before t0 holds."""
+    return 1.0 - math.exp(-gamma_min * span) if span > 0 else 0.0
+
+
 def _check_span(gamma_min: float, t0: float, t: np.ndarray) -> None:
-    span = t0 - float(t[0])
-    captured = 1.0 - math.exp(-gamma_min * span) if span > 0 else 0.0
+    captured = _captured_norm(gamma_min, t0 - float(t[0]))
     if captured < MIN_CAPTURED_NORM:
         raise TruncationError(
             f"grid captures only {captured:.6f} of the packet norm; extend it "
@@ -138,6 +143,23 @@ def composite_weights(gammas) -> tuple[float, float, float]:
     )
 
 
+def _distinct(gammas) -> bool:
+    """No two decay rates agree to within 1e-9 relative."""
+    return not any(abs(a - b) < 1e-9 * max(abs(a), abs(b))
+                   for i, a in enumerate(gammas) for b in gammas[i + 1:])
+
+
+def _composite_samples(gammas, weights, support, tau) -> np.ndarray:
+    """Unnormalized packet sum_n w_n e^{-g_n tau/2} on the grid: `tau` holds
+    t0 - t at the `support` points (tau >= 0); all other points are zero."""
+    packet = np.zeros_like(tau)
+    for g, w in zip(gammas, weights):
+        packet += w * np.exp(-g * tau / 2.0)
+    samples = np.zeros(support.size)
+    samples[support] = packet
+    return samples
+
+
 def composite_mode(gammas, t0: float, t) -> TemporalMode:
     """Three-cavity packet: normalized sum of one-sided exponentials with the
     partial-fraction weights of a cascade of three single-pole responses."""
@@ -146,19 +168,14 @@ def composite_mode(gammas, t0: float, t) -> TemporalMode:
         raise InvalidInputError("composite mode takes exactly three decay rates")
     if any(not g > 0 for g in gammas):
         raise InvalidInputError("decay rates must be positive")
-    for i, a in enumerate(gammas):
-        for b in gammas[i + 1:]:
-            if abs(a - b) < 1e-9 * max(abs(a), abs(b)):
-                raise DegeneratePoleError(f"decay rates must be distinct, got {gammas}")
+    if not _distinct(gammas):
+        raise DegeneratePoleError(f"decay rates must be distinct, got {gammas}")
     t = np.asarray(t, dtype=float)
     _grid_step(t)
     _check_span(min(gammas), t0, t)
     weights = composite_weights(gammas)
-    tau = np.clip(t0 - t, 0.0, None)
-    samples = np.zeros_like(tau)
-    for g, w in zip(gammas, weights):
-        samples += w * np.exp(-g * tau / 2.0)
-    samples = np.where(t0 - t >= 0, samples, 0.0)
+    support = t0 - t >= 0
+    samples = _composite_samples(gammas, weights, support, (t0 - t)[support])
     return TemporalMode(gammas, weights, t0, t, samples)
 
 
@@ -185,10 +202,8 @@ class MatchedFilter:
     overlap: float
 
 
-def _response_from_poles(poles, t0: float, t) -> TemporalMode:
-    # The time-reversed impulse response of a cascade of three real poles p_n
-    # is exactly the composite packet with decay rates 2*p_n.
-    return composite_mode(tuple(2.0 * p for p in poles), t0, t)
+#: Largest argument math.exp takes without overflowing.
+_MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
 def design_matched_filter(target: TemporalMode, order: int = 3, seed: int = 0,
@@ -196,15 +211,26 @@ def design_matched_filter(target: TemporalMode, order: int = 3, seed: int = 0,
     """Pick three real pole frequencies whose time-reversed impulse response
     maximizes the overlap with the target packet.
 
-    Derivative-free multi-start search over strictly ordered poles (so the
-    confluent case cannot occur).  Only third-order filters are supported.
+    That response, for real poles p_n, is the composite packet with decay
+    rates 2*p_n.  A derivative-free multi-start search runs over strictly
+    ordered poles (so the confluent case cannot occur).  One evaluation
+    scores 1.0 for poles that overflow, are not distinct, leave more than
+    1 - MIN_CAPTURED_NORM of the packet outside the grid or give a response
+    that vanishes on it.  Otherwise it sums the three weighted exponentials
+    on the tau = t0 - t >= 0 support, computed once per design, and returns
+    minus the squared overlap with the target.  No mode is built until the
+    search ends.  Only third-order filters are supported.
     """
     if order != 3:
         raise InvalidInputError("only third-order filters are supported")
     t = target.t
     t0 = target.t0
-    tau_mean = float(np.sum((t0 - t) * target.samples ** 2) * target.dt)
-    rate0 = 1.0 / max(tau_mean, 10.0 * target.dt)  # effective power decay rate
+    dt = target.dt
+    tau_mean = float(np.sum((t0 - t) * target.samples ** 2) * dt)
+    rate0 = 1.0 / max(tau_mean, 10.0 * dt)  # effective power decay rate
+    span = t0 - float(t[0])
+    support = t0 - t >= 0
+    tau = (t0 - t)[support]
 
     def poles_from(u):
         p1 = math.exp(u[0])
@@ -213,11 +239,23 @@ def design_matched_filter(target: TemporalMode, order: int = 3, seed: int = 0,
         return p1, p2, p3
 
     def objective(u):
-        try:
-            resp = _response_from_poles(poles_from(u), t0, t)
-        except (TruncationError, DegeneratePoleError, OverflowError):
+        if max(u) > _MAX_EXP_ARG:
             return 1.0
-        return -mode_overlap(resp, target)
+        gammas = tuple(2.0 * p for p in poles_from(u))
+        if (math.isinf(gammas[2]) or not _distinct(gammas)
+                or _captured_norm(min(gammas), span) < MIN_CAPTURED_NORM):
+            return 1.0
+        # The norm and the inner product repeat TemporalMode and
+        # mode_overlap operation for operation, so the poles match a
+        # mode-based design bit for bit.  The sums run over the whole grid
+        # because pairwise summation groups terms by the array length.
+        samples = _composite_samples(gammas, composite_weights(gammas),
+                                     support, tau)
+        norm = math.sqrt(float(np.sum(samples ** 2)) * dt)
+        if norm == 0.0:
+            return 1.0
+        inner = float(np.sum(samples / norm * target.samples) * dt)
+        return -min(inner ** 2, 1.0)
 
     rng = np.random.default_rng(seed)
     u0 = np.array([math.log(rate0 / 2.0), math.log(3.0), math.log(2.0)])
@@ -234,7 +272,7 @@ def design_matched_filter(target: TemporalMode, order: int = 3, seed: int = 0,
     if best_u is None or best_val >= 0.0:
         raise NumericalError("filter design failed to improve on any start")
     poles = poles_from(best_u)
-    response = _response_from_poles(poles, t0, t)
+    response = composite_mode(tuple(2.0 * p for p in poles), t0, t)
     return MatchedFilter(poles=poles, response=response,
                          overlap=mode_overlap(response, target))
 
@@ -394,12 +432,16 @@ def load_traces(fh) -> TraceSet:
         raise InvalidInputError("truncated trace file header")
     n_events, n_bins, dt_ns = _HEADER.unpack(head)
     dt = dt_ns * 1e-9
+    if not (math.isfinite(dt) and dt > 0):
+        raise InvalidInputError(f"trace file bin width must be positive, got {dt_ns} ns")
     payload = np.frombuffer(fh.read(4 * n_events * n_bins), dtype="<f4")
     if payload.size != n_events * n_bins:
         raise InvalidInputError("truncated trace payload")
     phases = np.frombuffer(fh.read(8 * n_events), dtype="<f8")
     if phases.size != n_events:
         raise InvalidInputError("truncated phase block")
+    if fh.read(1):
+        raise InvalidInputError("trailing bytes after the phase block")
     t = (np.arange(n_bins) - (n_bins - 1) / 2.0) * dt
     return TraceSet(traces=payload.astype(float).reshape(n_events, n_bins),
                     dt=dt, phases=phases.astype(float), t=t)

@@ -99,6 +99,20 @@ def test_numerical_error_from_ambiguous_pca(tmp_path, capsys):
     assert "numerical error" in err
 
 
+def test_usage_error_from_malformed_trace_file(tmp_path, capsys):
+    traces = tmp_path / "photon.bin"
+    code, _, _ = run_cli(capsys, "traces", "--fock", "1", "--events", "1000",
+                         "--seed", "0", "--out", str(traces))
+    assert code == 0
+    pca = ("pca", "--in", str(traces), "--window-ns=-30,0")
+    assert run_cli(capsys, *pca)[0] == 0
+    with open(traces, "ab") as fh:
+        fh.write(b"\0")
+    code, _, err = run_cli(capsys, *pca)
+    assert code == 2
+    assert "trailing bytes" in err
+
+
 # ---------------------------------------------------------------------------
 # artifacts and determinism
 # ---------------------------------------------------------------------------

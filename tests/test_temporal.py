@@ -1,10 +1,12 @@
 import io
+import struct
 import types
 
 import numpy as np
 import pytest
 
 import nlsqlab as nl
+from nlsqlab import temporal
 from nlsqlab.errors import (AmbiguityError, DegeneratePoleError, DimensionError,
                             InvalidInputError, TruncationError)
 
@@ -166,6 +168,36 @@ def test_filter_matches_single_pole_on_fine_grid():
     assert poles[1] > 10 * poles[0]  # the other poles are pushed far out
 
 
+#: poles (rad/s) designed for the default three-cavity target at seed 0
+#: (regression values; the design must reproduce them bit for bit)
+DEFAULT_FILTER_POLES = (211743323.82141635, 571141673.1695355, 880274169.3638393)
+
+
+def test_filter_poles_pinned_on_default_target():
+    filt = nl.design_matched_filter(default_composite(), seed=0)
+    assert filt.poles == DEFAULT_FILTER_POLES
+
+
+def test_filter_design_builds_at_most_one_mode(monkeypatch):
+    target = default_composite()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return nl.composite_mode(*args, **kwargs)
+
+    monkeypatch.setattr(temporal, "composite_mode", counting)
+    nl.design_matched_filter(target, seed=0)
+    assert len(calls) <= 1
+
+
+def test_filter_poles_independent_of_grid_offset():
+    t = nl.default_grid(center=10e-9)
+    target = nl.composite_mode(nl.default_gammas(), 20e-9, t)
+    filt = nl.design_matched_filter(target, seed=3)
+    assert filt.poles == DEFAULT_FILTER_POLES
+
+
 def test_filter_rejects_other_orders():
     with pytest.raises(InvalidInputError):
         nl.design_matched_filter(default_composite(), order=2)
@@ -205,6 +237,36 @@ def test_trace_determinism_and_roundtrip():
     assert back.n_events == 40
     assert back.dt == pytest.approx(mode.dt, rel=1e-12)
     assert np.allclose(back.t, mode.t, atol=1e-15)
+
+
+def _trace_file(dt_ns=None):
+    mode = default_composite()
+    ts = nl.simulate_traces(nl.vacuum(5), mode, 4, PHASES, seed=1)
+    buf = io.BytesIO()
+    nl.save_traces(ts, buf)
+    blob = buf.getvalue()
+    if dt_ns is not None:
+        blob = blob[:8] + struct.pack("<d", dt_ns) + blob[16:]
+    return blob
+
+
+def test_load_traces_rejects_trailing_bytes():
+    blob = _trace_file()
+    fh = io.BytesIO(blob + b"\0" * 4096)
+    with pytest.raises(InvalidInputError):
+        nl.load_traces(fh)
+    assert fh.tell() == len(blob) + 1  # reads one byte past the phase block
+
+
+def test_load_traces_rejects_nan_dt():
+    with pytest.raises(InvalidInputError):
+        nl.load_traces(io.BytesIO(_trace_file(dt_ns=np.nan)))
+
+
+@pytest.mark.parametrize("dt_ns", [0.0, -0.2])
+def test_load_traces_rejects_nonpositive_dt(dt_ns):
+    with pytest.raises(InvalidInputError):
+        nl.load_traces(io.BytesIO(_trace_file(dt_ns=dt_ns)))
 
 
 def test_trace_input_validation():
