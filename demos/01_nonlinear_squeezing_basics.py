@@ -21,7 +21,7 @@ w0 = nl.wigner(one, [0.0], [0.0])[0, 0]
 print(f"W(0,0) = {w0:+.4f}  (negative)  but ratio = {res.ratio:.3f} -> {res.db:+.2f} dB")
 
 print("\n=== the best vacuum/one-photon superposition ===")
-coeffs, best = nl.optimize_coefficients(1, seed=0, starts=32)
+coeffs, best = nl.optimize_coefficients(1)
 print(f"coefficients     : {coeffs[0]:.4f}, {coeffs[1]:.4f}")
 print(f"|c1|/|c0|        : {abs(coeffs[1])/abs(coeffs[0]):.4f}")
 print(f"ratio / dB       : {best.ratio:.4f} / {best.db:+.3f} dB  at lambda {best.lambda_opt:.3f}")
@@ -37,5 +37,5 @@ for u in (0.5, 2.0):
 
 print("\n=== losses move the optimum ===")
 for loss in (0.0, 0.25, 0.5):
-    _, res = nl.optimize_coefficients(1, loss=loss, seed=1, starts=16)
+    _, res = nl.optimize_coefficients(1, loss=loss)
     print(f"loss {loss:4.2f}: best ratio {res.ratio:.4f} ({res.db:+.3f} dB)")

@@ -10,7 +10,7 @@ squeezed-resource part.
 import nlsqlab as nl
 
 vac = nl.ModeMoments.from_state(nl.vacuum(6))
-best_coeffs, best = nl.optimize_coefficients(1, seed=0, starts=16)
+best_coeffs, best = nl.optimize_coefficients(1)
 anc_opt = nl.ModeMoments.from_state(nl.make_superposition(best_coeffs, 6))
 
 print("=== ancilla choices (input vacuum, resource variance 0.05) ===")

@@ -178,12 +178,9 @@ def cmd_nlsq(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    ns = _merged(args, {"max_photon": 1, "kappa": 1.0, "order": 3, "loss": None,
-                        "seed": 0, "starts": 32})
-    _log(f"effective seed: {ns['seed']}")
+    ns = _merged(args, {"max_photon": 1, "kappa": 1.0, "order": 3, "loss": None})
     coeffs, result = nlsq.optimize_coefficients(
-        int(ns["max_photon"]), ns["kappa"], int(ns["order"]), loss=ns["loss"],
-        seed=int(ns["seed"]), starts=int(ns["starts"]))
+        int(ns["max_photon"]), ns["kappa"], int(ns["order"]), loss=ns["loss"])
     _print_json({
         "coefficients": [[float(c.real), float(c.imag)] for c in coeffs],
         "result": result.to_dict(),
@@ -436,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kappa", type=float)
     sp.add_argument("--order", type=int)
     sp.add_argument("--loss", type=float)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--starts", type=int)
+    sp.add_argument("--seed", type=int, help="accepted; the search is deterministic")
+    sp.add_argument("--starts", type=int, help="accepted; the search is deterministic")
     sp.set_defaults(func=cmd_optimize)
 
     sp = sub.add_parser("sweep", help="NLSQ versus theta for several losses")

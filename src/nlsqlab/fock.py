@@ -157,25 +157,41 @@ def moment(state: QuantumState, op: FockOperator):
     return complex(value)
 
 
+def _loss_kraus_weights(dim: int, loss: float):
+    """Yield (k, w) for the pure-loss Kraus operators A_k = sum_n w[n-k] |n-k><n|,
+    n = k..dim-1, with w[n-k] = sqrt(C(n, k) (1-loss)^(n-k) loss^k)."""
+    if not 0.0 <= loss <= 1.0:
+        raise InvalidInputError(f"loss fraction must lie in [0, 1], got {loss}")
+    eta = 1.0 - loss
+    lg = gammaln(np.arange(dim) + 1.0)
+    for k in range(dim):
+        ns = np.arange(k, dim)
+        comb = np.exp(lg[ns] - lg[ns - k] - lg[k])
+        yield k, np.sqrt(comb * np.power(eta, (ns - k).astype(float)) * np.power(loss, float(k)))
+
+
 def apply_loss(state: QuantumState, loss: float) -> QuantumState:
     """Pure-loss channel: beamsplitter of transmissivity 1-loss against vacuum.
 
     Exact Kraus-operator sum in the number basis (dim Kraus terms), so the
     result is deterministic and trace preserving to machine precision.
     """
-    if not 0.0 <= loss <= 1.0:
-        raise InvalidInputError(f"loss fraction must lie in [0, 1], got {loss}")
     dim = state.dim
-    eta = 1.0 - loss
-    lg = gammaln(np.arange(dim) + 1.0)
     rho = state.matrix
     out = np.zeros_like(rho)
-    for k in range(dim):
-        ns = np.arange(k, dim)
-        comb = np.exp(lg[ns] - lg[ns - k] - lg[k])
-        weight = np.sqrt(comb * np.power(eta, (ns - k).astype(float)) * np.power(loss, float(k)))
+    for k, weight in _loss_kraus_weights(dim, loss):
         out[: dim - k, : dim - k] += np.outer(weight, weight) * rho[k:, k:]
     return QuantumState(dim, out)
+
+
+def loss_adjoint(block: np.ndarray, loss: float) -> np.ndarray:
+    """Heisenberg-picture pure loss: sum_k A_k^dag O A_k for a dim x dim block,
+    so that Tr[apply_loss(rho) O] = Tr[rho loss_adjoint(O)]."""
+    dim = block.shape[0]
+    out = np.zeros(block.shape, dtype=np.result_type(block, float))
+    for k, weight in _loss_kraus_weights(dim, loss):
+        out[k:, k:] += np.outer(weight, weight) * block[: dim - k, : dim - k]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,18 +152,13 @@ def propagate(input_moments: ModeMoments, ancilla_moments: ModeMoments,
     )
 
 
-_m1_floor_db_cache: dict[int, float] = {}
-
-
+@lru_cache(maxsize=None)
 def _best_m1_db() -> float:
     """dB of the best vacuum/one-photon ancilla; the ratio is strength
-    independent, so one seeded optimization serves every kappa."""
-    if 0 not in _m1_floor_db_cache:
-        from .nlsq import optimize_coefficients
+    independent, so one optimization serves every kappa."""
+    from .nlsq import optimize_coefficients
 
-        _, result = optimize_coefficients(1, kappa=1.0, order=3, seed=7, starts=16)
-        _m1_floor_db_cache[0] = result.db
-    return _m1_floor_db_cache[0]
+    return optimize_coefficients(1, kappa=1.0, order=3)[1].db
 
 
 def required_ancilla_db(target_excess: float, kappa: float = 1.0) -> float:

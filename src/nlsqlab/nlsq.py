@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import minimize
 
 from .errors import DimensionError, InvalidInputError, NumericalError
-from .fock import QuantumState, apply_loss, make_superposition, quadrature_ops, vacuum
+from .fock import (QuantumState, apply_loss, loss_adjoint, make_superposition,
+                   quadrature_ops, vacuum)
 
 LAMBDA_BOUNDS = (1e-2, 1e2)
 LAMBDA_GRID_POINTS = 64
@@ -166,7 +168,10 @@ def _minimize_lambda(mom: Moments, kappa: float, order: int,
                      bounds=LAMBDA_BOUNDS, grid_points: int = LAMBDA_GRID_POINTS,
                      tol: float = LAMBDA_TOL) -> tuple[float, float]:
     """Grid-first bracketing, then golden-section refinement of every local
-    minimum found on the grid (the objective can be multimodal)."""
+    minimum found on the grid.  V(lambda) of one state is unimodal on
+    lambda > 0 (dV/dlambda = 0 is a quadratic in lambda^N with one positive
+    root), so the local minima all bracket that optimum unless it lies
+    outside the bounds."""
     grid = np.geomspace(bounds[0], bounds[1], grid_points)
     vals = np.array([variance_from_moments(mom, g, kappa, order) for g in grid])
     candidates = []
@@ -245,20 +250,11 @@ def kappa_rescale(result: NlsqResult, u: float) -> NlsqResult:
 # superposition-coefficient optimization
 # ---------------------------------------------------------------------------
 
-
-def _coeffs_from_params(t: np.ndarray, max_photon: int) -> np.ndarray:
-    """Hypersphere angles + relative phases -> unit coefficient vector."""
-    angles = t[:max_photon]
-    phases = t[max_photon:]
-    mags = np.ones(max_photon + 1)
-    sin_running = 1.0
-    for k in range(max_photon):
-        mags[k] = sin_running * np.cos(angles[k])
-        sin_running *= np.sin(angles[k])
-    mags[max_photon] = sin_running
-    c = mags.astype(complex)
-    c[1:] *= np.exp(1j * phases)
-    return c
+#: Grid of the ancilla search: lambda geometric over
+#: lambda_vac * [1/ANCILLA_LAMBDA_SPAN, ANCILLA_LAMBDA_SPAN] and, at each
+#: lambda, m linear over the spectrum of P Y P.
+ANCILLA_GRID_POINTS = 33
+ANCILLA_LAMBDA_SPAN = 4.0
 
 
 def _canonical_coeffs(c: np.ndarray) -> np.ndarray:
@@ -270,17 +266,85 @@ def _canonical_coeffs(c: np.ndarray) -> np.ndarray:
     return c
 
 
+def _optimal_ancilla(max_photon: int, kappa: float, order: int,
+                     loss: float | None) -> np.ndarray:
+    """Input vector on {|0>..|M>} whose (lossy) output minimizes the optimal
+    nonlinear variance.
+
+    For the noise operator Y of one lambda, min over m of <(Y - m)^2> is
+    Var(Y), so min over psi and lambda of Var_psi(Y) equals the minimum over
+    (lambda, m) of the lowest eigenvalue of P (Y - m)^2 P, P the projector
+    onto the first M + 1 levels; the padded moment blocks make P Y P and
+    P Y^2 P exact.  Under loss, Tr[E(rho) O] = Tr[rho E^dag(O)], so the
+    blocks go through the adjoint channel first.  The lowest eigenvalue need
+    not be convex in (lambda, m): every local minimum of a grid is refined
+    by Nelder-Mead in (log lambda, m) and the lowest refinement wins.
+    """
+    blocks = _moment_blocks(max_photon + 1, order)
+    if loss is not None:
+        blocks = tuple(loss_adjoint(b, loss) for b in blocks)
+    bp, bp2, bxn, bxn2, bsym = blocks
+    eye = np.eye(max_photon + 1)
+    v_vac, lam_vac = vacuum_optimum(kappa, order)
+    # lambda relative to the vacuum optimum and m in units of the vacuum
+    # noise keep the search the same at every kappa.
+    unit = math.sqrt(v_vac)
+
+    def operators(log_lam: float):
+        lam = lam_vac * math.exp(log_lam)
+        coeff = order * kappa / lam ** (order - 1)
+        return (lam * bp - coeff * bxn,
+                lam ** 2 * bp2 + coeff ** 2 * bxn2 - 2.0 * lam * coeff * bsym)
+
+    def shifted_square(y, y2, m):
+        m = np.asarray(m, dtype=float)[..., None, None]
+        return y2 - 2.0 * m * y + m * m * eye
+
+    n = ANCILLA_GRID_POINTS
+    log_lams = np.linspace(-math.log(ANCILLA_LAMBDA_SPAN), math.log(ANCILLA_LAMBDA_SPAN), n)
+    ms = np.empty((n, n))
+    vals = np.empty((n, n))
+    for i, log_lam in enumerate(log_lams):
+        y, y2 = operators(log_lam)
+        spectrum = np.linalg.eigvalsh(y)
+        ms[i] = np.linspace(spectrum[0], spectrum[-1], n)
+        vals[i] = np.linalg.eigvalsh(shifted_square(y, y2, ms[i]))[:, 0]
+
+    def objective(u) -> float:
+        y, y2 = operators(u[0])
+        return float(np.linalg.eigvalsh(shifted_square(y, y2, u[1] * unit))[0]) / v_vac
+
+    # grid points no larger than any of their 8 neighbours
+    windows = sliding_window_view(np.pad(vals, 1, constant_values=np.inf), (3, 3))
+    best = None
+    for i, j in np.argwhere(vals <= windows.min(axis=(2, 3))):
+        u0 = np.array([log_lams[i], ms[i, j] / unit])
+        simplex = [u0, u0 + [log_lams[1] - log_lams[0], 0.0],
+                   u0 + [0.0, (ms[i, 1] - ms[i, 0]) / unit]]
+        res = minimize(objective, u0, method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-13,
+                                "initial_simplex": simplex})
+        if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
+            best = res
+    if best is None:
+        raise NumericalError("ancilla optimization found no finite minimum")
+    y, y2 = operators(best.x[0])
+    _, vecs = np.linalg.eigh(shifted_square(y, y2, best.x[1] * unit))
+    return vecs[:, 0]
+
+
 def optimize_coefficients(max_photon: int, kappa: float = 1.0, order: int = 3,
                           loss: float | None = None, seed: int = 0,
                           starts: int = 32, dim: int | None = None
                           ) -> tuple[np.ndarray, NlsqResult]:
-    """Search the unit-norm coefficients c_0..c_M minimizing the NLSQ ratio.
+    """Unit-norm coefficients c_0..c_M minimizing the NLSQ ratio.
 
-    Multi-start Nelder-Mead over hypersphere angles and relative phases with
-    the global phase fixed (c_0 real nonnegative); start points come from a
-    PCG64 generator, so a fixed seed reproduces the search exactly.  With
-    ``loss`` given, the pure-loss channel is applied before the ratio is
-    evaluated.
+    Deterministic: the optimum is the lowest eigenvector of P (Y - m)^2 P
+    at the best (lambda, m) (see ``_optimal_ancilla``), with the global
+    phase fixed so that the first nonzero coefficient is real and positive.
+    With ``loss`` given, the ratio is that of the state after the pure-loss
+    channel.  ``seed`` and ``starts`` are accepted for compatibility and have
+    no effect.
     """
     _validate_order(order)
     if max_photon < 0:
@@ -297,25 +361,7 @@ def optimize_coefficients(max_photon: int, kappa: float = 1.0, order: int = 3,
     if max_photon == 0:
         c = np.array([1.0 + 0.0j])
         return c, evaluate(c)
-
-    def objective(t) -> float:
-        return evaluate(_coeffs_from_params(np.asarray(t, float), max_photon)).ratio
-
-    rng = np.random.default_rng(seed)
-    best_x, best_val = None, np.inf
-    for _ in range(starts):
-        t0 = np.concatenate([
-            rng.uniform(0.0, np.pi / 2.0, max_photon),
-            rng.uniform(0.0, 2.0 * np.pi, max_photon),
-        ])
-        res = minimize(objective, t0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-13,
-                                "maxiter": 4000, "maxfev": 6000})
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_x, best_val = res.x, float(res.fun)
-    if best_x is None:
-        raise NumericalError("coefficient optimization failed for every start")
-    coeffs = _canonical_coeffs(_coeffs_from_params(best_x, max_photon))
+    coeffs = _canonical_coeffs(_optimal_ancilla(max_photon, kappa, order, loss))
     return coeffs, evaluate(coeffs)
 
 

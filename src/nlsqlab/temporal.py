@@ -10,6 +10,7 @@ provide.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 import sys
@@ -58,6 +59,8 @@ def _grid_step(t: np.ndarray) -> float:
         raise InvalidInputError("time grid must be a 1-D array with >= 2 points")
     steps = np.diff(t)
     dt = steps[0]
+    if not dt > 0:
+        raise InvalidInputError(f"time grid must be increasing, got step {dt}")
     if not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
         raise InvalidInputError("time grid must be uniform")
     return float(dt)
@@ -434,6 +437,15 @@ def load_traces(fh) -> TraceSet:
     dt = dt_ns * 1e-9
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidInputError(f"trace file bin width must be positive, got {dt_ns} ns")
+    declared = (4 * n_bins + 8) * n_events
+    start = fh.tell()
+    available = fh.seek(0, io.SEEK_END) - start
+    fh.seek(start)
+    if available < declared:
+        raise InvalidInputError(
+            f"trace header declares {n_events} x {n_bins} samples ({declared} "
+            f"bytes), but only {available} bytes follow it"
+        )
     payload = np.frombuffer(fh.read(4 * n_events * n_bins), dtype="<f4")
     if payload.size != n_events * n_bins:
         raise InvalidInputError("truncated trace payload")

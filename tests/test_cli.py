@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -111,6 +112,14 @@ def test_usage_error_from_malformed_trace_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, *pca)
     assert code == 2
     assert "trailing bytes" in err
+
+
+def test_usage_error_from_oversized_trace_header(tmp_path, capsys):
+    traces = tmp_path / "header.bin"
+    traces.write_bytes(struct.pack("<IId", 2**32 - 1, 2**32 - 1, 0.2))
+    code, _, err = run_cli(capsys, "pca", "--in", str(traces))
+    assert code == 2
+    assert "trace header declares" in err
 
 
 # ---------------------------------------------------------------------------

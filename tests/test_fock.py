@@ -172,6 +172,24 @@ def test_loss_contracts_toward_vacuum():
     assert fids[-1] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_loss_adjoint_is_heisenberg_picture():
+    # Tr[E(rho) O] = Tr[rho E^dag(O)] for the pure-loss channel
+    from nlsqlab.fock import loss_adjoint
+
+    rng = np.random.default_rng(23)
+    for dim in (1, 2, 5, 9):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = g @ g.conj().T
+        state = nl.QuantumState(dim, rho / np.trace(rho).real)
+        op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for loss in (0.0, rng.uniform(), 1.0):
+            schroedinger = np.trace(nl.apply_loss(state, loss).matrix @ op)
+            heisenberg = np.trace(state.matrix @ loss_adjoint(op, loss))
+            assert heisenberg == pytest.approx(schroedinger, abs=1e-12)
+        assert np.allclose(loss_adjoint(np.eye(dim), rng.uniform()), np.eye(dim),
+                           atol=1e-14)
+
+
 def test_loss_range_error():
     with pytest.raises(InvalidInputError):
         nl.apply_loss(nl.vacuum(4), 1.5)

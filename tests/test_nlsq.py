@@ -278,6 +278,77 @@ def test_optimize_reproducible():
     assert a[1] == b[1]
 
 
+def nelder_mead_ratio(max_photon, loss, order, starts, seed=0):
+    """Best ratio of a multi-start Nelder-Mead over hypersphere angles and
+    relative phases of c_0..c_M: a search that can only miss the optimum."""
+    from scipy.optimize import minimize
+
+    dim = max(max_photon + 1, 2 * order)
+
+    def ratio(t):
+        mags = np.ones(max_photon + 1)
+        for k, angle in enumerate(t[:max_photon]):
+            mags[k] *= np.cos(angle)
+            mags[k + 1:] *= np.sin(angle)
+        coeffs = mags * np.exp(1j * np.concatenate([[0.0], t[max_photon:]]))
+        state = nl.make_superposition(coeffs, dim)
+        if loss is not None:
+            state = nl.apply_loss(state, loss)
+        return nl.optimal_nonlinear_variance(state, order=order).ratio
+
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    for _ in range(starts):
+        t0 = np.concatenate([rng.uniform(0.0, np.pi / 2.0, max_photon),
+                             rng.uniform(0.0, 2.0 * np.pi, max_photon)])
+        best = min(best, minimize(ratio, t0, method="Nelder-Mead",
+                                  options={"xatol": 1e-10, "fatol": 1e-13}).fun)
+    return best
+
+
+@pytest.mark.parametrize("max_photon,loss,order", [
+    (1, None, 3), (1, 0.25, 3), (2, None, 3), (2, 0.25, 3), (1, None, 4), (1, None, 5),
+])
+def test_optimize_no_worse_than_nelder_mead(max_photon, loss, order):
+    ratio = nl.optimize_coefficients(max_photon, order=order, loss=loss)[1].ratio
+    reference = nelder_mead_ratio(max_photon, loss, order, starts=3)
+    assert ratio <= reference + 1e-12
+    if max_photon == 1:  # a few starts find the M = 1 optimum; at M = 2 most miss
+        assert ratio == pytest.approx(reference, abs=1e-6)
+
+
+def test_optimize_ratio_independent_of_kappa():
+    reference = nl.optimize_coefficients(2)[1].ratio
+    for kappa in (1e-3, 0.1, 10.0, 1e3):
+        assert nl.optimize_coefficients(2, kappa=kappa)[1].ratio == pytest.approx(
+            reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_optimize_higher_orders_improve_with_photon_number(order):
+    ratios = []
+    for max_photon in (1, 2, 3):
+        coeffs, res = nl.optimize_coefficients(max_photon, order=order)
+        dim = max(max_photon + 1, 2 * order)
+        state = nl.make_superposition(coeffs, dim)
+        assert nl.optimal_nonlinear_variance(state, order=order).ratio == res.ratio
+        ratios.append(res.ratio)
+    assert 1.0 > ratios[0] > ratios[1] > ratios[2]
+
+
+@pytest.mark.parametrize("max_photon,loss,order,expected", [
+    # 32-start Nelder-Mead over the coefficients reaches the same values.
+    (1, None, 3, 0.7168215), (1, 0.25, 3, 0.8509278), (2, None, 3, 0.5911550),
+    (2, 0.25, 3, 0.7987064), (3, None, 3, 0.5172242),
+    # The (lambda, m) landscape has several local minima here; refining only
+    # the grid's lowest point ends at 0.50095.
+    (10, None, 5, 0.4956738),
+])
+def test_optimize_pinned_ratios(max_photon, loss, order, expected):
+    res = nl.optimize_coefficients(max_photon, order=order, loss=loss)[1]
+    assert res.ratio == pytest.approx(expected, abs=1e-7)
+
+
 def test_optimize_rejects_negative_photon_count():
     with pytest.raises(InvalidInputError):
         nl.optimize_coefficients(-1)

@@ -65,6 +65,14 @@ def test_grid_validation():
         nl.single_pole_mode(-1.0, 0.0, nl.default_grid())
 
 
+def test_grid_must_increase():
+    grid = nl.default_grid()
+    with pytest.raises(InvalidInputError, match="increasing"):
+        nl.single_pole_mode(4e8, 0.0, grid[::-1])
+    with pytest.raises(InvalidInputError, match="increasing"):
+        nl.single_pole_mode(4e8, 0.0, np.zeros(5))
+
+
 def test_composite_weights_hand_value():
     assert nl.composite_weights((1.0, 2.0, 3.0)) == pytest.approx((0.5, -1.0, 0.5))
 
@@ -256,6 +264,14 @@ def test_load_traces_rejects_trailing_bytes():
     with pytest.raises(InvalidInputError):
         nl.load_traces(fh)
     assert fh.tell() == len(blob) + 1  # reads one byte past the phase block
+
+
+@pytest.mark.parametrize("n_events,n_bins", [(2**32 - 1, 2**32 - 1), (4, 2**20), (5, 1001)])
+def test_load_traces_rejects_header_beyond_file(n_events, n_bins):
+    blob = _trace_file()
+    blob = struct.pack("<II", n_events, n_bins) + blob[8:]
+    with pytest.raises(InvalidInputError, match="only"):
+        nl.load_traces(io.BytesIO(blob))
 
 
 def test_load_traces_rejects_nan_dt():
