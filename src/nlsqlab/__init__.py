@@ -14,10 +14,10 @@ from .fock import (FockOperator, QuantumState, apply_loss, coherent_state,
 from .gate import GateNoiseReport, ModeMoments, ancilla_noise_variance, propagate, required_ancilla_db
 from .genmodel import (FitResult, GenerationParams, count_rate_ratio, fit_phi_L,
                        herald, rho_theta_phi_L, write_fit_sweep_csv)
-from .nlsq import (NlsqResult, golden_section_minimize, kappa_rescale,
-                   nlsq_db, noise_moments, nonlinear_variance,
-                   optimal_nonlinear_variance, optimize_coefficients,
-                   sweep_rows, vacuum_optimum, write_sweep_csv)
+from .nlsq import (NlsqResult, kappa_rescale, nlsq_db, noise_moments,
+                   nonlinear_variance, optimal_nonlinear_variance,
+                   optimize_coefficients, sweep_rows, vacuum_optimum,
+                   write_sweep_csv)
 from .temporal import (MatchedFilter, TemporalMode, TraceSet, composite_mode,
                        composite_weights, default_gammas, default_grid,
                        design_matched_filter, gamma_from_hwhm, load_traces,

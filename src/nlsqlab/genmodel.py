@@ -123,9 +123,10 @@ def fit_phi_L(measured: QuantumState, theta: float) -> FitResult:
     """Least-squares (phi, L) of the two-level model at a known theta.
 
     Minimizes the Frobenius distance on the 2x2 number-basis block.  The
-    optimal phi is analytic (phase of the off-diagonal); L is refined by a
-    bounded scalar search.  Fits are flagged unreliable near theta = pi
-    (phase-insensitive state) and near theta = 0 (loss-insensitive state).
+    optimal phi is analytic (phase of the off-diagonal); the optimal L is the
+    best of L = 0, L = 1 and the roots of a cubic in sqrt(1-L).  Fits are
+    flagged unreliable near theta = pi (phase-insensitive state) and near
+    theta = 0 (loss-insensitive state).
     """
     if not 0.0 <= theta <= math.pi:
         raise InvalidInputError(f"theta must lie in [0, pi], got {theta}")
@@ -144,23 +145,25 @@ def fit_phi_L(measured: QuantumState, theta: float) -> FitResult:
     else:
         phi = 0.0
 
-    from .nlsq import golden_section_minimize
-
-    # The objective is a quartic in sqrt(1-L): bracket on a grid first, then
-    # refine, so a secondary shallow minimum cannot mislead the search.
-    grid = np.linspace(0.0, 1.0, 101)
-    vals = np.array([_block_distance_sq(block, theta, phi, L) for L in grid])
+    # With t = sqrt(1-L) the objective is a quartic in t; a quarter of its
+    # derivative is the cubic 2 s^2 t^3 + (s (rho00 - 1 - rho11) + k^2) t
+    # - k Re(rho01 e^{i phi}), s = sin^2(theta/2), k = sin(theta)/2.  The
+    # minimum over [0, 1] sits at an end or at a root of the cubic; the real
+    # parts of complex roots only add harmless candidates.  L = 0 comes
+    # first, so it wins a tie (at theta = 0 every L fits equally well).
+    s = math.sin(theta / 2.0) ** 2
+    k = 0.5 * math.sin(theta)
+    cubic = [2.0 * s * s, 0.0,
+             s * (block[0, 0].real - 1.0 - block[1, 1].real) + k * k,
+             -k * (off * np.exp(1j * phi)).real]
+    ts = np.concatenate([[1.0, 0.0], np.clip(np.roots(cubic).real, 0.0, 1.0)])
+    losses = 1.0 - ts * ts
+    vals = [_block_distance_sq(block, theta, phi, L) for L in losses]
     i = int(np.argmin(vals))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    loss_opt, f_opt = golden_section_minimize(
-        lambda L: _block_distance_sq(block, theta, phi, L), lo, hi, tol=1e-12
-    )
-    if vals[i] < f_opt:
-        loss_opt, f_opt = grid[i], vals[i]
     return FitResult(
         phi=phi,
-        loss=float(np.clip(loss_opt, 0.0, 1.0)),
-        residual=math.sqrt(max(f_opt, 0.0)),
+        loss=float(losses[i]),
+        residual=math.sqrt(max(vals[i], 0.0)),
         phi_reliable=theta <= math.pi - THETA_PHASE_BLIND and theta >= THETA_PHASE_BLIND,
         loss_reliable=theta >= THETA_LOSS_BLIND,
     )

@@ -75,6 +75,20 @@ def test_usage_error_bad_loss(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kappa", ["0", "nan", "inf", "-inf"])
+def test_usage_error_bad_kappa(capsys, kappa):
+    code, out, err = run_cli(capsys, "nlsq", "--fock", "1", f"--kappa={kappa}")
+    assert code == 2
+    assert out == ""
+    assert "kappa" in err
+
+
+def test_negative_kappa_accepted(capsys):
+    code, out, _ = run_cli(capsys, "nlsq", "--fock", "1", "--kappa=-2")
+    assert code == 0
+    assert json.loads(out)["ratio"] == pytest.approx(3.0, rel=1e-12)
+
+
 def test_usage_error_malformed_literals(capsys):
     code, _, _ = run_cli(capsys, "nlsq", "--coeffs", "0.5", "notanumber")
     assert code == 2

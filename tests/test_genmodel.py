@@ -140,6 +140,26 @@ def test_fit_with_perturbation():
         assert abs(fit.loss - 0.25) < 0.01
 
 
+@pytest.mark.parametrize("theta", [0.0, 1e-6, 0.3, 1.09, 2.0, np.pi - 1e-6, np.pi])
+def test_fit_no_worse_than_dense_loss_grid(theta):
+    # random physical 2x2 blocks; at theta = 0 the cubic vanishes identically
+    rng = np.random.default_rng(int(theta * 1e6) + 5)
+    losses = np.linspace(0.0, 1.0, 100001)
+    s2 = np.sin(theta / 2) ** 2
+    for _ in range(20):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        block = g @ g.conj().T
+        block /= np.trace(block).real
+        fit = nl.fit_phi_L(nl.QuantumState(2, block), theta)
+        eta = 1.0 - losses
+        off = 0.5 * np.sin(theta) * np.sqrt(eta) * np.exp(-1j * fit.phi)
+        dist_sq = ((block[0, 0].real - (1.0 - eta * s2)) ** 2
+                   + (block[1, 1].real - eta * s2) ** 2
+                   + 2.0 * np.abs(block[0, 1] - off) ** 2)
+        assert fit.residual <= np.sqrt(dist_sq.min()) + 1e-15
+        assert 0.0 <= fit.loss <= 1.0
+
+
 def test_fit_flags_near_edges():
     near_photon = nl.rho_theta_phi_L(
         nl.GenerationParams(theta=np.pi, phi=0.0, loss=0.25), 6)

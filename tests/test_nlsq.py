@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nlsqlab as nl
-from nlsqlab.errors import DimensionError, InvalidInputError
+from nlsqlab.errors import DimensionError, InvalidInputError, NumericalError
 
 import oracles
 
@@ -189,9 +189,44 @@ def test_ratio_kappa_invariance():
     for _ in range(20):
         state = random_state(rng, 3, 8)
         base = nl.optimal_nonlinear_variance(state, kappa=1.0).ratio
-        for u in (0.3, 0.5, 2.0, 3.0):
+        for u in (1e-4, 0.3, 0.5, 2.0, 3.0, 1e4):
             other = nl.optimal_nonlinear_variance(state, kappa=u ** 3).ratio
-            assert abs(other - base) < 1e-9
+            assert other == pytest.approx(base, rel=1e-12)
+
+
+def test_rescale_far_from_unit_strength_matches_direct():
+    state = nl.make_superposition([0.79, -0.61j], 6)
+    res = nl.optimal_nonlinear_variance(state, kappa=1.0)
+    for u in (1e-4, 1e4):
+        scaled = nl.kappa_rescale(res, u)
+        direct = nl.optimal_nonlinear_variance(state, kappa=u ** 3)
+        assert scaled.lambda_opt == pytest.approx(direct.lambda_opt, rel=1e-12)
+        assert scaled.variance_opt == pytest.approx(direct.variance_opt, rel=1e-12)
+        assert scaled.ratio == pytest.approx(direct.ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [0.0, np.nan, np.inf, -np.inf])
+def test_kappa_must_be_finite_and_nonzero(kappa):
+    with pytest.raises(InvalidInputError):
+        nl.optimal_nonlinear_variance(nl.fock_state(1, 6), kappa=kappa)
+    with pytest.raises(InvalidInputError):
+        nl.vacuum_optimum(kappa)
+    with pytest.raises(InvalidInputError):
+        nl.optimize_coefficients(1, kappa=kappa)
+
+
+def test_negative_kappa_accepted():
+    # kappa -> -kappa is p -> -p: a p-mirrored state reaches the same ratio
+    coeffs = np.array([0.79, -0.61j])
+    res = nl.optimal_nonlinear_variance(nl.make_superposition(coeffs, 6), kappa=-1.0)
+    mirrored = nl.optimal_nonlinear_variance(nl.make_superposition(coeffs.conj(), 6))
+    assert res.ratio == pytest.approx(mirrored.ratio, rel=1e-12)
+    assert res.lambda_opt == pytest.approx(mirrored.lambda_opt, rel=1e-12)
+
+
+def test_lambda_optimum_fails_loudly_beyond_float_range():
+    with pytest.raises(NumericalError):
+        nl.optimal_nonlinear_variance(nl.fock_state(1, 6), kappa=1e200)
 
 
 # ---------------------------------------------------------------------------
@@ -349,21 +384,31 @@ def test_optimize_pinned_ratios(max_photon, loss, order, expected):
     assert res.ratio == pytest.approx(expected, abs=1e-7)
 
 
+def test_optimize_refines_once_at_full_loss(monkeypatch):
+    # full loss flattens every grid row; one refinement serves them all
+    from nlsqlab import nlsq
+
+    calls = []
+    minimize = nlsq.minimize
+
+    def counting_minimize(*args, **kwargs):
+        calls.append(args)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(nlsq, "minimize", counting_minimize)
+    res = nl.optimize_coefficients(2, loss=1.0)[1]
+    assert len(calls) == 1
+    assert res.ratio == pytest.approx(1.0, abs=1e-12)
+
+
 def test_optimize_rejects_negative_photon_count():
     with pytest.raises(InvalidInputError):
         nl.optimize_coefficients(-1)
 
 
 # ---------------------------------------------------------------------------
-# golden-section search and sweep CSV
+# sweep CSV
 # ---------------------------------------------------------------------------
-
-def test_golden_section_on_parabola():
-    x, fx = nl.golden_section_minimize(lambda t: (t - 1.7) ** 2 + 3.0, 0.0, 5.0,
-                                       tol=1e-10)
-    assert x == pytest.approx(1.7, abs=1e-7)
-    assert fx == pytest.approx(3.0, abs=1e-12)
-
 
 def test_sweep_rows_and_csv():
     thetas = np.linspace(0.0, np.pi, 25)
