@@ -8,6 +8,7 @@ seed of every stochastic command).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -21,6 +22,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+PHASES_DEG = "0,30,60,90,120,150"
 
 
 def _print_json(obj) -> None:
@@ -39,14 +42,23 @@ def _angle(value: float, deg: bool) -> float:
     return math.radians(value) if deg else float(value)
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """Text stream for an artifact: stdout for `-`, otherwise the named file."""
+    if path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
+
+
 # ---------------------------------------------------------------------------
 # state specification
 # ---------------------------------------------------------------------------
 
 
 def _add_state_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--vacuum", action="store_true", default=None,
-                    help="use the vacuum state")
+    sp.add_argument("--vacuum", action="store_true", help="use the vacuum state")
     sp.add_argument("--fock", type=int, metavar="N", help="number state |N>")
     sp.add_argument("--coeffs", nargs="+", metavar="C",
                     help="superposition amplitudes c0 c1 ... as python complex "
@@ -63,7 +75,7 @@ def _state_from_options(ns: dict, deg: bool) -> fock.QuantumState:
         coeffs = [complex(c) for c in ns["coeffs"]]
         state = fock.make_superposition(coeffs, max(dim, len(coeffs)))
     elif ns.get("fock") is not None:
-        n = int(ns["fock"])
+        n = ns["fock"]
         state = fock.fock_state(n, max(dim, n + 1))
     elif ns.get("theta") is not None:
         params = genmodel.GenerationParams(
@@ -103,62 +115,41 @@ def _parse_state_spec(spec: str, deg: bool, dim: int | None) -> fock.QuantumStat
 
 
 # ---------------------------------------------------------------------------
-# shared option helpers
+# shared option groups
 # ---------------------------------------------------------------------------
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """Builtin defaults, overridden by --config values, overridden by flags."""
-    config = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            config = json.load(fh)
-    out = dict(defaults)
-    out.update({k: v for k, v in config.items() if k in defaults})
-    out.update({k: v for k, v in vars(args).items()
-                if k in defaults and v is not None})
-    return out
-
-
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
-def _mode_from_options(ns: dict):
-    t = temporal.default_grid(frame=ns["frame_ns"] * 1e-9, dt=ns["dt_ns"] * 1e-9,
-                              center=ns["t0_ns"] * 1e-9)
-    t0 = ns["t0_ns"] * 1e-9
-    if ns.get("gamma") is not None:
-        return temporal.single_pole_mode(ns["gamma"], t0, t)
-    if ns.get("gammas") is not None:
-        return temporal.composite_mode(_floats(ns["gammas"]), t0, t)
-    hwhm = _floats(ns["hwhm_mhz"])
-    gammas = [temporal.gamma_from_hwhm(h * 1e6) for h in hwhm]
-    if len(gammas) == 1:
-        return temporal.single_pole_mode(gammas[0], t0, t)
-    return temporal.composite_mode(gammas, t0, t)
-
-
-_MODE_DEFAULTS = {
-    "hwhm_mhz": ",".join(str(h / 1e6) for h in temporal.DEFAULT_CAVITY_HWHM_HZ),
-    "gammas": None,
-    "gamma": None,
-    "t0_ns": 0.0,
-    "frame_ns": temporal.DEFAULT_FRAME * 1e9,
-    "dt_ns": temporal.DEFAULT_DT * 1e9,
-}
+def _add_gate_options(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--kappa", type=float, default=1.0)
+    sp.add_argument("--order", type=int, default=3)
 
 
 def _add_mode_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--hwhm-mhz", dest="hwhm_mhz",
+                    default=",".join(str(h / 1e6) for h in temporal.DEFAULT_CAVITY_HWHM_HZ),
                     help="cavity HWHM linewidths in MHz, comma separated")
     sp.add_argument("--gammas", help="field decay rates in rad/s, comma separated")
     sp.add_argument("--gamma", type=float, help="single decay rate in rad/s")
-    sp.add_argument("--t0-ns", dest="t0_ns", type=float, help="herald time (ns)")
-    sp.add_argument("--frame-ns", dest="frame_ns", type=float, help="frame length (ns)")
-    sp.add_argument("--dt-ns", dest="dt_ns", type=float, help="sample spacing (ns)")
+    sp.add_argument("--t0-ns", dest="t0_ns", type=float, default=0.0,
+                    help="herald time (ns)")
+    sp.add_argument("--frame-ns", dest="frame_ns", type=float,
+                    default=temporal.DEFAULT_FRAME * 1e9, help="frame length (ns)")
+    sp.add_argument("--dt-ns", dest="dt_ns", type=float,
+                    default=temporal.DEFAULT_DT * 1e9, help="sample spacing (ns)")
+
+
+def _mode_from_options(args):
+    t = temporal.default_grid(frame=args.frame_ns * 1e-9, dt=args.dt_ns * 1e-9,
+                              center=args.t0_ns * 1e-9)
+    t0 = args.t0_ns * 1e-9
+    if args.gamma is not None:
+        return temporal.single_pole_mode(args.gamma, t0, t)
+    if args.gammas is not None:
+        return temporal.composite_mode(_floats(args.gammas), t0, t)
+    gammas = [temporal.gamma_from_hwhm(h * 1e6) for h in _floats(args.hwhm_mhz)]
+    if len(gammas) == 1:
+        return temporal.single_pole_mode(gammas[0], t0, t)
+    return temporal.composite_mode(gammas, t0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +158,16 @@ def _add_mode_options(sp: argparse.ArgumentParser) -> None:
 
 
 def cmd_nlsq(args) -> int:
-    ns = _merged(args, {"vacuum": None, "fock": None, "coeffs": None,
-                        "theta": None, "phi": None, "loss": None, "dim": None,
-                        "kappa": 1.0, "order": 3})
-    state = _state_from_options(ns, args.deg)
-    result = nlsq.optimal_nonlinear_variance(state, ns["kappa"], int(ns["order"]))
+    state = _state_from_options(vars(args), args.deg)
+    result = nlsq.optimal_nonlinear_variance(state, args.kappa, args.order)
     _log(f"ratio={result.ratio:.6f} db={result.db:+.4f} lambda={result.lambda_opt:.6f}")
     _print_json(result.to_dict())
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
-    ns = _merged(args, {"max_photon": 1, "kappa": 1.0, "order": 3, "loss": None})
     coeffs, result = nlsq.optimize_coefficients(
-        int(ns["max_photon"]), ns["kappa"], int(ns["order"]), loss=ns["loss"])
+        args.max_photon, args.kappa, args.order, loss=args.loss)
     _print_json({
         "coefficients": [[float(c.real), float(c.imag)] for c in coeffs],
         "result": result.to_dict(),
@@ -189,52 +176,37 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ns = _merged(args, {"theta_min": 0.0, "theta_max": math.pi, "theta_steps": 33,
-                        "phi": 3.0 * math.pi / 2.0, "losses": "0,0.25,0.5",
-                        "kappa": 1.0, "order": 3, "out": "-"})
-    thetas = np.linspace(_angle(ns["theta_min"], args.deg),
-                         _angle(ns["theta_max"], args.deg), int(ns["theta_steps"]))
-    rows = nlsq.sweep_rows(thetas, _angle(ns["phi"], args.deg), _floats(str(ns["losses"])),
-                           ns["kappa"], int(ns["order"]))
-    fh, close = _open_out(ns["out"])
-    try:
+    thetas = np.linspace(_angle(args.theta_min, args.deg),
+                         _angle(args.theta_max, args.deg), args.theta_steps)
+    rows = nlsq.sweep_rows(thetas, _angle(args.phi, args.deg), _floats(args.losses),
+                           args.kappa, args.order)
+    with _output(args.out) as fh:
         nlsq.write_sweep_csv(rows, fh)
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
 def cmd_herald(args) -> int:
-    ns = _merged(args, {"q": None, "alpha": None, "dim": fock.MIN_TWO_LEVEL_DIM})
-    if ns["q"] is None or ns["alpha"] is None:
+    if args.q is None or args.alpha is None:
         raise InvalidInputError(
             "herald needs --q and --alpha (complex literals; use --q=-0.1j form)")
-    state = genmodel.herald(complex(ns["q"]), complex(ns["alpha"]), int(ns["dim"]))
+    state = genmodel.herald(complex(args.q), complex(args.alpha), args.dim)
     _print_json(fock.state_to_json(state))
     return EXIT_OK
 
 
 def cmd_mode(args) -> int:
-    ns = _merged(args, dict(_MODE_DEFAULTS, out="-"))
-    mode = _mode_from_options(ns)
-    fh, close = _open_out(ns["out"])
-    try:
+    mode = _mode_from_options(args)
+    with _output(args.out) as fh:
         temporal.mode_to_csv(mode, fh)
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
 def cmd_filter_design(args) -> int:
-    ns = _merged(args, dict(_MODE_DEFAULTS, seed=0, starts=8, response_out=None))
-    _log(f"effective seed: {ns['seed']}")
-    target = _mode_from_options(ns)
-    filt = temporal.design_matched_filter(target, seed=int(ns["seed"]),
-                                          starts=int(ns["starts"]))
-    if ns["response_out"]:
-        with open(ns["response_out"], "w") as fh:
+    _log(f"effective seed: {args.seed}")
+    target = _mode_from_options(args)
+    filt = temporal.design_matched_filter(target, seed=args.seed, starts=args.starts)
+    if args.response_out:
+        with open(args.response_out, "w") as fh:
             temporal.mode_to_csv(filt.response, fh)
     _print_json({
         "poles_rad_s": [float(p) for p in filt.poles],
@@ -244,78 +216,57 @@ def cmd_filter_design(args) -> int:
 
 
 def cmd_traces(args) -> int:
-    ns = _merged(args, dict(
-        _MODE_DEFAULTS, vacuum=None, fock=None, coeffs=None, theta=None,
-        phi=None, loss=None, dim=None, events=6000,
-        phases_deg="0,30,60,90,120,150", seed=0, out=None))
-    if not ns["out"]:
+    if not args.out:
         raise InvalidInputError("traces needs --out FILE (binary trace set)")
-    _log(f"effective seed: {ns['seed']}")
-    state = _state_from_options(ns, args.deg)
-    mode = _mode_from_options(ns)
-    phases = [math.radians(p) for p in _floats(str(ns["phases_deg"]))]
-    ts = temporal.simulate_traces(state, mode, int(ns["events"]), phases,
-                                  seed=int(ns["seed"]))
-    with open(ns["out"], "wb") as fh:
+    _log(f"effective seed: {args.seed}")
+    state = _state_from_options(vars(args), args.deg)
+    mode = _mode_from_options(args)
+    phases = [math.radians(p) for p in _floats(args.phases_deg)]
+    ts = temporal.simulate_traces(state, mode, args.events, phases, seed=args.seed)
+    with open(args.out, "wb") as fh:
         temporal.save_traces(ts, fh)
-    _log(f"wrote {ts.n_events} traces x {ts.n_bins} bins to {ns['out']}")
+    _log(f"wrote {ts.n_events} traces x {ts.n_bins} bins to {args.out}")
     return EXIT_OK
 
 
 def cmd_pca(args) -> int:
-    ns = _merged(args, dict(_MODE_DEFAULTS, **{"in": None}, window_ns=None, out="-",
-                            compare=False))
-    if not ns["in"]:
+    path = getattr(args, "in")
+    if not path:
         raise InvalidInputError("pca needs --in FILE (binary trace set)")
-    with open(ns["in"], "rb") as fh:
+    with open(path, "rb") as fh:
         ts = temporal.load_traces(fh)
     window = None
-    if ns["window_ns"]:
-        lo, hi = _floats(str(ns["window_ns"]))
+    if args.window_ns:
+        lo, hi = _floats(args.window_ns)
         window = (lo * 1e-9, hi * 1e-9)
     est = temporal.pca_mode_estimate(ts, window=window)
-    if ns["compare"]:
-        truth = _mode_from_options(ns)
+    if args.compare:
+        truth = _mode_from_options(args)
         _log(f"overlap with analytic mode: {temporal.mode_overlap(est, truth):.6f}")
-    fh, close = _open_out(ns["out"])
-    try:
+    with _output(args.out) as fh:
         temporal.mode_to_csv(est, fh)
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    ns = _merged(args, {"vacuum": None, "fock": None, "coeffs": None, "theta": None,
-                        "phi": None, "loss": None, "dim": None,
-                        "phases_deg": "0,30,60,90,120,150",
-                        "n_per_phase": tomo.DEFAULT_EVENTS_PER_PHASE,
-                        "seed": 0, "out": "-"})
-    _log(f"effective seed: {ns['seed']}")
-    state = _state_from_options(ns, args.deg)
-    phases = [math.radians(p) for p in _floats(str(ns["phases_deg"]))]
-    ds = tomo.sample(state, phases, int(ns["n_per_phase"]), seed=int(ns["seed"]))
-    fh, close = _open_out(ns["out"])
-    try:
+    _log(f"effective seed: {args.seed}")
+    state = _state_from_options(vars(args), args.deg)
+    phases = [math.radians(p) for p in _floats(args.phases_deg)]
+    ds = tomo.sample(state, phases, args.n_per_phase, seed=args.seed)
+    with _output(args.out) as fh:
         tomo.write_dataset_csv(ds, fh)
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:
-    ns = _merged(args, {"in": None, "dim": 5, "max_iters": tomo.MLE_MAX_ITERS,
-                        "tol": tomo.MLE_TOL, "out": None})
-    if not ns["in"]:
+    path = getattr(args, "in")
+    if not path:
         raise InvalidInputError("reconstruct needs --in FILE (dataset CSV)")
-    with open(ns["in"]) as fh:
+    with open(path) as fh:
         ds = tomo.read_dataset_csv(fh)
-    result = tomo.mle_reconstruct(ds, dim=int(ns["dim"]),
-                                  max_iters=int(ns["max_iters"]), tol=ns["tol"])
-    if ns["out"]:
-        with open(ns["out"], "w") as fh:
+    result = tomo.mle_reconstruct(ds, dim=args.dim, max_iters=args.max_iters, tol=args.tol)
+    if args.out:
+        with open(args.out, "w") as fh:
             json.dump(fock.state_to_json(result.state), fh, sort_keys=True)
             fh.write("\n")
     report = result.report()
@@ -325,32 +276,25 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    ns = _merged(args, {
-        "theta": 1.09, "phi": 3.0 * math.pi / 2.0, "loss": 0.25,
-        "n_per_phase": tomo.DEFAULT_EVENTS_PER_PHASE, "seed": 0, "dim": 5,
-        "with_traces": True, "trace_events": 1000, "out": "-",
-        "kappa": 1.0, "order": 3,
-    })
-    if int(ns["n_per_phase"]) < 1:
+    if args.n_per_phase < 1:
         raise InvalidInputError("n_per_phase must be at least 1")
-    _log(f"effective seed: {ns['seed']}")
-    theta = _angle(ns["theta"], args.deg)
-    phi = _angle(ns["phi"], args.deg)
-    params = genmodel.GenerationParams(theta=theta, phi=phi, loss=ns["loss"])
-    dim = int(ns["dim"])
+    _log(f"effective seed: {args.seed}")
+    theta = _angle(args.theta, args.deg)
+    phi = _angle(args.phi, args.deg)
+    params = genmodel.GenerationParams(theta=theta, phi=phi, loss=args.loss)
+    dim, kappa, order = args.dim, args.kappa, args.order
     truth = genmodel.rho_theta_phi_L(params, dim)
-    model_result = nlsq.optimal_nonlinear_variance(truth, ns["kappa"], int(ns["order"]))
+    model_result = nlsq.optimal_nonlinear_variance(truth, kappa, order)
 
-    ds = tomo.sample(truth, n_per_phase=int(ns["n_per_phase"]), seed=int(ns["seed"]))
+    ds = tomo.sample(truth, n_per_phase=args.n_per_phase, seed=args.seed)
     mle = tomo.mle_reconstruct(ds, dim=dim)
-    rec_result = nlsq.optimal_nonlinear_variance(mle.state, ns["kappa"], int(ns["order"]))
+    rec_result = nlsq.optimal_nonlinear_variance(mle.state, kappa, order)
     fit = genmodel.fit_phi_L(mle.state, theta)
 
     report = {
-        "params": {"theta": theta, "phi": phi, "loss": float(ns["loss"]),
-                   "n_per_phase": int(ns["n_per_phase"]), "dim": dim,
-                   "seed": int(ns["seed"]), "kappa": float(ns["kappa"]),
-                   "order": int(ns["order"])},
+        "params": {"theta": theta, "phi": phi, "loss": args.loss,
+                   "n_per_phase": args.n_per_phase, "dim": dim,
+                   "seed": args.seed, "kappa": kappa, "order": order},
         "model": model_result.to_dict(),
         "reconstruction": {
             **mle.report(),
@@ -361,46 +305,39 @@ def cmd_pipeline(args) -> int:
         "fit": fit.to_dict(),
     }
 
-    if ns["with_traces"]:
+    if args.with_traces:
         grid = temporal.default_grid()
         mode = temporal.composite_mode(temporal.default_gammas(), 0.0, grid)
         filt = temporal.design_matched_filter(mode, seed=0)
-        phases = [math.radians(d) for d in (0, 30, 60, 90, 120, 150)]
-        n_events = int(ns["trace_events"]) * len(phases)
+        phases = [math.radians(d) for d in _floats(PHASES_DEG)]
+        n_events = args.trace_events * len(phases)
         ts = temporal.simulate_traces(truth, mode, n_events,
-                                      np.repeat(phases, int(ns["trace_events"])),
-                                      seed=int(ns["seed"]) + 1)
+                                      np.repeat(phases, args.trace_events),
+                                      seed=args.seed + 1)
         corr = temporal.realtime_vs_postprocess(ts, filt, mode)
         q_rt = ts.traces @ filt.response.samples * ts.dt
         rt_ds = tomo.TomographyDataset(phases=ts.phases, values=q_rt,
                                        source="real-time filter output")
         rt_mle = tomo.mle_reconstruct(rt_ds, dim=dim)
-        rt_result = nlsq.optimal_nonlinear_variance(rt_mle.state, ns["kappa"],
-                                                    int(ns["order"]))
+        rt_result = nlsq.optimal_nonlinear_variance(rt_mle.state, kappa, order)
         report["realtime"] = {
             "filter_overlap": float(filt.overlap),
             "correlations_by_phase_deg": {
                 f"{math.degrees(p):g}": r for p, r in sorted(corr.items())
             },
             "nlsq": rt_result.to_dict(),
-            "trace_events_per_phase": int(ns["trace_events"]),
+            "trace_events_per_phase": args.trace_events,
         }
 
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if ns["out"] == "-":
-        sys.stdout.write(text)
-    else:
-        with open(ns["out"], "w") as fh:
-            fh.write(text)
+    with _output(args.out) as fh:
+        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_gate_noise(args) -> int:
-    ns = _merged(args, {"input": "vacuum", "ancilla": "vacuum", "sqz_var": 0.0,
-                        "kappa": 1.0, "dim": None})
-    inp = gate.ModeMoments.from_state(_parse_state_spec(ns["input"], args.deg, ns["dim"]))
-    anc = gate.ModeMoments.from_state(_parse_state_spec(ns["ancilla"], args.deg, ns["dim"]))
-    report = gate.propagate(inp, anc, ns["sqz_var"], ns["kappa"])
+    inp = gate.ModeMoments.from_state(_parse_state_spec(args.input, args.deg, args.dim))
+    anc = gate.ModeMoments.from_state(_parse_state_spec(args.ancilla, args.deg, args.dim))
+    report = gate.propagate(inp, anc, args.sqz_var, args.kappa)
     _print_json(report.to_dict())
     return EXIT_OK
 
@@ -424,118 +361,152 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("nlsq", help="nonlinear squeezing of one state")
     _add_state_options(sp)
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--order", type=int)
+    _add_gate_options(sp)
     sp.set_defaults(func=cmd_nlsq)
 
     sp = sub.add_parser("optimize", help="optimize superposition coefficients")
-    sp.add_argument("--max-photon", dest="max_photon", type=int)
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--order", type=int)
+    sp.add_argument("--max-photon", dest="max_photon", type=int, default=1)
+    _add_gate_options(sp)
     sp.add_argument("--loss", type=float)
     sp.add_argument("--seed", type=int, help="accepted; the search is deterministic")
     sp.add_argument("--starts", type=int, help="accepted; the search is deterministic")
     sp.set_defaults(func=cmd_optimize)
 
     sp = sub.add_parser("sweep", help="NLSQ versus theta for several losses")
-    sp.add_argument("--theta-min", dest="theta_min", type=float)
-    sp.add_argument("--theta-max", dest="theta_max", type=float)
-    sp.add_argument("--theta-steps", dest="theta_steps", type=int)
-    sp.add_argument("--phi", type=float)
-    sp.add_argument("--losses")
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--order", type=int)
-    sp.add_argument("--out")
+    sp.add_argument("--theta-min", dest="theta_min", type=float, default=0.0)
+    sp.add_argument("--theta-max", dest="theta_max", type=float, default=math.pi)
+    sp.add_argument("--theta-steps", dest="theta_steps", type=int, default=33)
+    sp.add_argument("--phi", type=float, default=3.0 * math.pi / 2.0)
+    sp.add_argument("--losses", default="0,0.25,0.5")
+    _add_gate_options(sp)
+    sp.add_argument("--out", default="-")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("herald", help="heralded superposition density matrix")
     sp.add_argument("--q")
     sp.add_argument("--alpha")
-    sp.add_argument("--dim", type=int)
+    sp.add_argument("--dim", type=int, default=fock.MIN_TWO_LEVEL_DIM)
     sp.set_defaults(func=cmd_herald)
 
     sp = sub.add_parser("mode", help="temporal wave packet as CSV")
     _add_mode_options(sp)
-    sp.add_argument("--out")
+    sp.add_argument("--out", default="-")
     sp.set_defaults(func=cmd_mode)
 
     sp = sub.add_parser("filter-design", help="third-order matched filter")
     _add_mode_options(sp)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--starts", type=int)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--starts", type=int, default=8)
     sp.add_argument("--response-out", dest="response_out")
     sp.set_defaults(func=cmd_filter_design)
 
     sp = sub.add_parser("traces", help="simulate continuous homodyne traces")
     _add_state_options(sp)
     _add_mode_options(sp)
-    sp.add_argument("--events", type=int)
-    sp.add_argument("--phases-deg", dest="phases_deg")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--events", type=int, default=6000)
+    sp.add_argument("--phases-deg", dest="phases_deg", default=PHASES_DEG)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_traces)
 
     sp = sub.add_parser("pca", help="principal-component temporal mode estimate")
     sp.add_argument("--in", dest="in")
     sp.add_argument("--window-ns", dest="window_ns")
-    sp.add_argument("--compare", action="store_true", default=None,
+    sp.add_argument("--compare", action="store_true",
                     help="log the overlap with the analytic mode options")
     _add_mode_options(sp)
-    sp.add_argument("--out")
+    sp.add_argument("--out", default="-")
     sp.set_defaults(func=cmd_pca)
 
     sp = sub.add_parser("sample", help="phase-tagged quadrature dataset")
     _add_state_options(sp)
-    sp.add_argument("--phases-deg", dest="phases_deg")
-    sp.add_argument("--n-per-phase", dest="n_per_phase", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out")
+    sp.add_argument("--phases-deg", dest="phases_deg", default=PHASES_DEG)
+    sp.add_argument("--n-per-phase", dest="n_per_phase", type=int,
+                    default=tomo.DEFAULT_EVENTS_PER_PHASE)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out", default="-")
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("reconstruct", help="maximum-likelihood reconstruction")
     sp.add_argument("--in", dest="in")
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--max-iters", dest="max_iters", type=int)
-    sp.add_argument("--tol", type=float)
+    sp.add_argument("--dim", type=int, default=5)
+    sp.add_argument("--max-iters", dest="max_iters", type=int, default=tomo.MLE_MAX_ITERS)
+    sp.add_argument("--tol", type=float, default=tomo.MLE_TOL)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_reconstruct)
 
     sp = sub.add_parser("pipeline", help="generate, measure, reconstruct, report")
-    sp.add_argument("--theta", type=float)
-    sp.add_argument("--phi", type=float)
-    sp.add_argument("--loss", type=float)
-    sp.add_argument("--n-per-phase", dest="n_per_phase", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--order", type=int)
-    sp.add_argument("--with-traces", dest="with_traces", action="store_true",
-                    default=None)
+    sp.add_argument("--theta", type=float, default=1.09)
+    sp.add_argument("--phi", type=float, default=3.0 * math.pi / 2.0)
+    sp.add_argument("--loss", type=float, default=0.25)
+    sp.add_argument("--n-per-phase", dest="n_per_phase", type=int,
+                    default=tomo.DEFAULT_EVENTS_PER_PHASE)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--dim", type=int, default=5)
+    _add_gate_options(sp)
+    sp.add_argument("--with-traces", dest="with_traces", action="store_true")
     sp.add_argument("--no-traces", dest="with_traces", action="store_false")
-    sp.add_argument("--trace-events", dest="trace_events", type=int)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_pipeline)
+    sp.add_argument("--trace-events", dest="trace_events", type=int, default=1000)
+    sp.add_argument("--out", default="-")
+    sp.set_defaults(func=cmd_pipeline, with_traces=True)
 
     sp = sub.add_parser("gate-noise", help="cubic-gate moment-level noise budget")
-    sp.add_argument("--input", help="state spec, e.g. vacuum | fock:1 | "
-                                    "coeffs:0.79,-0.61j | rho:1.09,4.712,0.25")
-    sp.add_argument("--ancilla", help="state spec for the ancilla mode")
-    sp.add_argument("--sqz-var", dest="sqz_var", type=float)
-    sp.add_argument("--kappa", type=float)
+    sp.add_argument("--input", default="vacuum",
+                    help="state spec, e.g. vacuum | fock:1 | "
+                         "coeffs:0.79,-0.61j | rho:1.09,4.712,0.25")
+    sp.add_argument("--ancilla", default="vacuum", help="state spec for the ancilla mode")
+    sp.add_argument("--sqz-var", dest="sqz_var", type=float, default=0.0)
+    sp.add_argument("--kappa", type=float, default=1.0)
     sp.add_argument("--dim", type=int)
     sp.set_defaults(func=cmd_gate_noise)
 
     return parser
 
 
+def _parse_with_config(parser: argparse.ArgumentParser, argv, args):
+    """Parse again with the --config file layered between the flags and the
+    built-in defaults.
+
+    Each key that names an option of the chosen subcommand becomes that
+    option's default; other keys and null values are ignored.  A value goes
+    in as its string form, so argparse converts and checks it with the
+    option's own type, exactly as it would a flag.  Switches take a JSON
+    boolean and list options a JSON list.
+    """
+    with open(args.config) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        parser.error(f"--config {args.config}: expected a JSON object")
+    sub = next(a for a in parser._actions if a.dest == "command")
+    sp = sub.choices[args.command]
+    defaults = {}
+    for action in sp._actions:
+        value = config.get(action.dest)
+        if value is None or action.default is argparse.SUPPRESS:
+            continue
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                sp.error(f"--config {args.config}: {action.dest} must be true or false")
+            defaults[action.dest] = value
+        elif action.nargs is None:
+            defaults[action.dest] = str(value)
+        elif isinstance(value, list):
+            defaults[action.dest] = [str(v) for v in value]
+        else:
+            sp.error(f"--config {args.config}: {action.dest} must be a list")
+    sp.set_defaults(**defaults)
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            args = _parse_with_config(parser, argv, args)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except ValueError as exc:  # InvalidInputError and malformed literals
         _log(f"error: {exc}")
         return EXIT_USAGE

@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import InvalidInputError
-from .fock import QuantumState, quadrature_ops
+from .fock import QuantumState
+from .nlsq import (Moments, _moment_blocks, _real_trace, optimize_coefficients,
+                   vacuum_optimum, variance_from_moments)
 
 UNCERTAINTY_SLACK = 1e-9
 
@@ -31,7 +31,6 @@ class ModeMoments:
     mean_p: float
     x2: float
     p2: float
-    x3: float
     x4: float
     sym_px2: float
 
@@ -65,20 +64,15 @@ class ModeMoments:
 
     @classmethod
     def from_state(cls, state: QuantumState) -> "ModeMoments":
-        # x^4 reaches |n +- 4>, so build the operators with headroom and cut
-        # the blocks back to the state's cutoff (exact for any support).
-        dim = state.dim
-        x, p = quadrature_ops(dim + 4)
-        xm, pm = x.matrix, p.matrix
-        x2 = xm @ xm
-        blocks = {
-            "mean_x": xm, "mean_p": pm, "x2": x2, "p2": pm @ pm,
-            "x3": x2 @ xm, "x4": x2 @ x2, "sym_px2": (pm @ x2 + x2 @ pm) / 2.0,
-        }
+        # The order-3 blocks of the nlsq layer are p, p^2, x^2, x^4 and
+        # {p, x^2}/2; x^(N-1) at N = 2 is x itself.  Both carry the padding
+        # that keeps the moments exact for any support.
+        bp, bp2, bx2, bx4, bsym = _moment_blocks(state.dim, 3)
+        bx = _moment_blocks(state.dim, 2)[2]
         rho = state.matrix
-        vals = {k: float(np.einsum("ij,ji->", b[:dim, :dim], rho).real)
-                for k, b in blocks.items()}
-        return cls(**vals)
+        return cls(mean_x=_real_trace(rho, bx), mean_p=_real_trace(rho, bp),
+                   x2=_real_trace(rho, bx2), p2=_real_trace(rho, bp2),
+                   x4=_real_trace(rho, bx4), sym_px2=_real_trace(rho, bsym))
 
 
 @dataclass(frozen=True)
@@ -111,9 +105,11 @@ class GateNoiseReport:
 
 
 def ancilla_noise_variance(moments: ModeMoments, kappa: float = 1.0) -> float:
-    """Var(p - 3 kappa x^2) from a mode's moments; the gate's ancilla term."""
-    return (moments.var_p + 9.0 * kappa ** 2 * moments.var_x2
-            - 6.0 * kappa * moments.cov_p_x2)
+    """Var(p - 3 kappa x^2) from a mode's moments; the gate's ancilla term is
+    the order-3 nonlinear variance at lambda = 1."""
+    mom = Moments(p=moments.mean_p, p2=moments.p2, xn=moments.x2,
+                  xn2=moments.x4, sym=moments.sym_px2)
+    return variance_from_moments(mom, 1.0, kappa, 3)
 
 
 def propagate(input_moments: ModeMoments, ancilla_moments: ModeMoments,
@@ -126,8 +122,11 @@ def propagate(input_moments: ModeMoments, ancilla_moments: ModeMoments,
     p-variance splits exactly into the ideal part, the ancilla part and the
     squeezed-resource part.
     """
-    if sqz_var < 0:
-        raise InvalidInputError(f"squeezed-mode variance must be >= 0, got {sqz_var}")
+    if not math.isfinite(kappa):
+        raise InvalidInputError(f"gate strength kappa must be finite, got {kappa}")
+    if not (math.isfinite(sqz_var) and sqz_var >= 0):
+        raise InvalidInputError(
+            f"squeezed-mode variance must be finite and >= 0, got {sqz_var}")
     inp, anc = input_moments, ancilla_moments
 
     mean_x_out = inp.mean_x / math.sqrt(2.0)
@@ -156,8 +155,6 @@ def propagate(input_moments: ModeMoments, ancilla_moments: ModeMoments,
 def _best_m1_db() -> float:
     """dB of the best vacuum/one-photon ancilla; the ratio is strength
     independent, so one optimization serves every kappa."""
-    from .nlsq import optimize_coefficients
-
     return optimize_coefficients(1, kappa=1.0, order=3)[1].db
 
 
@@ -165,8 +162,6 @@ def required_ancilla_db(target_excess: float, kappa: float = 1.0) -> float:
     """Ancilla nonlinear squeezing (dB) needed to keep the ancilla excess at
     or below the target variance, clipped below at the best value reachable
     with a vacuum/one-photon superposition."""
-    from .nlsq import vacuum_optimum
-
     if not target_excess > 0:
         raise InvalidInputError(f"target excess must be positive, got {target_excess}")
     v_vac, _ = vacuum_optimum(kappa, 3)

@@ -314,8 +314,7 @@ def _optimal_ancilla(max_photon: int, kappa: float, order: int,
 
 
 def optimize_coefficients(max_photon: int, kappa: float = 1.0, order: int = 3,
-                          loss: float | None = None, seed: int = 0,
-                          starts: int = 32, dim: int | None = None
+                          loss: float | None = None, dim: int | None = None
                           ) -> tuple[np.ndarray, NlsqResult]:
     """Unit-norm coefficients c_0..c_M minimizing the NLSQ ratio.
 
@@ -323,8 +322,7 @@ def optimize_coefficients(max_photon: int, kappa: float = 1.0, order: int = 3,
     at the best (lambda, m) (see ``_optimal_ancilla``), with the global
     phase fixed so that the first nonzero coefficient is real and positive.
     With ``loss`` given, the ratio is that of the state after the pure-loss
-    channel.  ``seed`` and ``starts`` are accepted for compatibility and have
-    no effect.
+    channel.
     """
     _validate_order(order)
     if max_photon < 0:

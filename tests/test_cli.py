@@ -83,6 +83,15 @@ def test_usage_error_bad_kappa(capsys, kappa):
     assert "kappa" in err
 
 
+@pytest.mark.parametrize("flag", ["--kappa=nan", "--kappa=inf", "--kappa=-inf",
+                                  "--sqz-var=nan"])
+def test_gate_noise_rejects_nonfinite(capsys, flag):
+    code, out, err = run_cli(capsys, "gate-noise", "--ancilla", "fock:1", flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_negative_kappa_accepted(capsys):
     code, out, _ = run_cli(capsys, "nlsq", "--fock", "1", "--kappa=-2")
     assert code == 0
@@ -292,13 +301,41 @@ def test_pipeline_rejects_zero_samples(capsys):
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n_per_phase": 7, "seed": 5}))
+    # "events" belongs to another subcommand and null means "not set"
+    cfg.write_text(json.dumps({"n_per_phase": 7, "seed": 5, "events": "x",
+                               "phases_deg": None}))
     code, out, _ = run_cli(capsys, "--config", str(cfg), "sample", "--vacuum")
     assert code == 0
     assert len(out.splitlines()) == 1 + 6 * 7
     code, out, _ = run_cli(capsys, "--config", str(cfg), "sample", "--vacuum",
                            "--n-per-phase", "2")
     assert len(out.splitlines()) == 1 + 6 * 2
+
+
+@pytest.mark.parametrize("with_traces,flags,realtime", [
+    (False, (), False),
+    (False, ("--with-traces",), True),
+    (True, ("--no-traces",), False),
+])
+def test_config_switch_and_flag_override(tmp_path, capsys, with_traces, flags, realtime):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"with_traces": with_traces, "n_per_phase": 100,
+                               "trace_events": 50}))
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "pipeline", *flags)
+    assert code == 0
+    assert ("realtime" in json.loads(out)) is realtime
+
+
+@pytest.mark.parametrize("config", [{"order": 3.7}, {"kappa": "x"}, [1, 2],
+                                    {"vacuum": "yes"}])
+def test_config_values_checked_like_flags(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "nlsq", "--fock", "1")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
 
 def test_module_entry_point_runs():

@@ -30,7 +30,6 @@ def test_vacuum_moments_values():
     assert m.mean_p == pytest.approx(0.0, abs=1e-14)
     assert m.x2 == pytest.approx(0.5, abs=1e-13)
     assert m.p2 == pytest.approx(0.5, abs=1e-13)
-    assert m.x3 == pytest.approx(0.0, abs=1e-13)
     assert m.x4 == pytest.approx(0.75, abs=1e-13)
     assert m.sym_px2 == pytest.approx(0.0, abs=1e-13)
 
@@ -49,13 +48,13 @@ def test_two_level_moments_match_hand_form():
 
 def test_moment_invariants_enforced():
     with pytest.raises(InvalidInputError):
-        nl.ModeMoments(mean_x=0, mean_p=0, x2=0.1, p2=0.1, x3=0, x4=0.05,
+        nl.ModeMoments(mean_x=0, mean_p=0, x2=0.1, p2=0.1, x4=0.05,
                        sym_px2=0)  # Var x * Var p < 1/4
     with pytest.raises(InvalidInputError):
-        nl.ModeMoments(mean_x=2.0, mean_p=0, x2=1.0, p2=10.0, x3=0, x4=5.0,
+        nl.ModeMoments(mean_x=2.0, mean_p=0, x2=1.0, p2=10.0, x4=5.0,
                        sym_px2=0)  # <x^2> < <x>^2
     with pytest.raises(InvalidInputError):
-        nl.ModeMoments(mean_x=0, mean_p=0, x2=1.0, p2=1.0, x3=0, x4=0.5,
+        nl.ModeMoments(mean_x=0, mean_p=0, x2=1.0, p2=1.0, x4=0.5,
                        sym_px2=0)  # <x^4> < <x^2>^2
 
 
