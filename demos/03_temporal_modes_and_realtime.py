@@ -27,7 +27,7 @@ print(f"\nfilter cavities reshape the packet: overlap with the bare "
       f"single-pole mode = {nl.mode_overlap(mode, bare):.4f}")
 
 print("\n=== designing the readout filter ===")
-filt = nl.design_matched_filter(mode, seed=0)
+filt = nl.design_matched_filter(mode)
 print(f"poles (rad/s): {[f'{p:.3e}' for p in filt.poles]}")
 print(f"overlap with the packet: {filt.overlap:.6f}")
 

@@ -70,7 +70,7 @@ def _add_state_options(sp: argparse.ArgumentParser) -> None:
 
 
 def _state_from_options(ns: dict, deg: bool) -> fock.QuantumState:
-    dim = ns.get("dim") or fock.MIN_TWO_LEVEL_DIM
+    dim = fock.MIN_TWO_LEVEL_DIM if ns.get("dim") is None else ns["dim"]
     if ns.get("coeffs") is not None:
         coeffs = [complex(c) for c in ns["coeffs"]]
         state = fock.make_superposition(coeffs, max(dim, len(coeffs)))
@@ -125,23 +125,21 @@ def _add_gate_options(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_mode_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--hwhm-mhz", dest="hwhm_mhz",
+    sp.add_argument("--hwhm-mhz",
                     default=",".join(str(h / 1e6) for h in temporal.DEFAULT_CAVITY_HWHM_HZ),
                     help="cavity HWHM linewidths in MHz, comma separated")
     sp.add_argument("--gammas", help="field decay rates in rad/s, comma separated")
     sp.add_argument("--gamma", type=float, help="single decay rate in rad/s")
-    sp.add_argument("--t0-ns", dest="t0_ns", type=float, default=0.0,
-                    help="herald time (ns)")
-    sp.add_argument("--frame-ns", dest="frame_ns", type=float,
-                    default=temporal.DEFAULT_FRAME * 1e9, help="frame length (ns)")
-    sp.add_argument("--dt-ns", dest="dt_ns", type=float,
-                    default=temporal.DEFAULT_DT * 1e9, help="sample spacing (ns)")
+    sp.add_argument("--t0-ns", type=float, default=0.0, help="herald time (ns)")
+    sp.add_argument("--frame-ns", type=float, default=temporal.DEFAULT_FRAME * 1e9,
+                    help="frame length (ns)")
+    sp.add_argument("--dt-ns", type=float, default=temporal.DEFAULT_DT * 1e9,
+                    help="sample spacing (ns)")
 
 
 def _mode_from_options(args):
-    t = temporal.default_grid(frame=args.frame_ns * 1e-9, dt=args.dt_ns * 1e-9,
-                              center=args.t0_ns * 1e-9)
     t0 = args.t0_ns * 1e-9
+    t = temporal.default_grid(frame=args.frame_ns * 1e-9, dt=args.dt_ns * 1e-9, center=t0)
     if args.gamma is not None:
         return temporal.single_pole_mode(args.gamma, t0, t)
     if args.gammas is not None:
@@ -202,9 +200,8 @@ def cmd_mode(args) -> int:
 
 
 def cmd_filter_design(args) -> int:
-    _log(f"effective seed: {args.seed}")
     target = _mode_from_options(args)
-    filt = temporal.design_matched_filter(target, seed=args.seed, starts=args.starts)
+    filt = temporal.design_matched_filter(target)
     if args.response_out:
         with open(args.response_out, "w") as fh:
             temporal.mode_to_csv(filt.response, fh)
@@ -306,9 +303,8 @@ def cmd_pipeline(args) -> int:
     }
 
     if args.with_traces:
-        grid = temporal.default_grid()
-        mode = temporal.composite_mode(temporal.default_gammas(), 0.0, grid)
-        filt = temporal.design_matched_filter(mode, seed=0)
+        mode = temporal.composite_mode(temporal.default_gammas(), 0.0, temporal.default_grid())
+        filt = temporal.design_matched_filter(mode)
         phases = [math.radians(d) for d in _floats(PHASES_DEG)]
         n_events = args.trace_events * len(phases)
         ts = temporal.simulate_traces(truth, mode, n_events,
@@ -365,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_nlsq)
 
     sp = sub.add_parser("optimize", help="optimize superposition coefficients")
-    sp.add_argument("--max-photon", dest="max_photon", type=int, default=1)
+    sp.add_argument("--max-photon", type=int, default=1)
     _add_gate_options(sp)
     sp.add_argument("--loss", type=float)
     sp.add_argument("--seed", type=int, help="accepted; the search is deterministic")
@@ -373,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_optimize)
 
     sp = sub.add_parser("sweep", help="NLSQ versus theta for several losses")
-    sp.add_argument("--theta-min", dest="theta_min", type=float, default=0.0)
-    sp.add_argument("--theta-max", dest="theta_max", type=float, default=math.pi)
-    sp.add_argument("--theta-steps", dest="theta_steps", type=int, default=33)
+    sp.add_argument("--theta-min", type=float, default=0.0)
+    sp.add_argument("--theta-max", type=float, default=math.pi)
+    sp.add_argument("--theta-steps", type=int, default=33)
     sp.add_argument("--phi", type=float, default=3.0 * math.pi / 2.0)
     sp.add_argument("--losses", default="0,0.25,0.5")
     _add_gate_options(sp)
@@ -395,23 +391,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("filter-design", help="third-order matched filter")
     _add_mode_options(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--starts", type=int, default=8)
-    sp.add_argument("--response-out", dest="response_out")
+    sp.add_argument("--response-out")
     sp.set_defaults(func=cmd_filter_design)
 
     sp = sub.add_parser("traces", help="simulate continuous homodyne traces")
     _add_state_options(sp)
     _add_mode_options(sp)
     sp.add_argument("--events", type=int, default=6000)
-    sp.add_argument("--phases-deg", dest="phases_deg", default=PHASES_DEG)
+    sp.add_argument("--phases-deg", default=PHASES_DEG)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_traces)
 
     sp = sub.add_parser("pca", help="principal-component temporal mode estimate")
-    sp.add_argument("--in", dest="in")
-    sp.add_argument("--window-ns", dest="window_ns")
+    sp.add_argument("--in")
+    sp.add_argument("--window-ns")
     sp.add_argument("--compare", action="store_true",
                     help="log the overlap with the analytic mode options")
     _add_mode_options(sp)
@@ -420,17 +414,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="phase-tagged quadrature dataset")
     _add_state_options(sp)
-    sp.add_argument("--phases-deg", dest="phases_deg", default=PHASES_DEG)
-    sp.add_argument("--n-per-phase", dest="n_per_phase", type=int,
-                    default=tomo.DEFAULT_EVENTS_PER_PHASE)
+    sp.add_argument("--phases-deg", default=PHASES_DEG)
+    sp.add_argument("--n-per-phase", type=int, default=tomo.DEFAULT_EVENTS_PER_PHASE)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default="-")
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("reconstruct", help="maximum-likelihood reconstruction")
-    sp.add_argument("--in", dest="in")
+    sp.add_argument("--in")
     sp.add_argument("--dim", type=int, default=5)
-    sp.add_argument("--max-iters", dest="max_iters", type=int, default=tomo.MLE_MAX_ITERS)
+    sp.add_argument("--max-iters", type=int, default=tomo.MLE_MAX_ITERS)
     sp.add_argument("--tol", type=float, default=tomo.MLE_TOL)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_reconstruct)
@@ -439,14 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", type=float, default=1.09)
     sp.add_argument("--phi", type=float, default=3.0 * math.pi / 2.0)
     sp.add_argument("--loss", type=float, default=0.25)
-    sp.add_argument("--n-per-phase", dest="n_per_phase", type=int,
-                    default=tomo.DEFAULT_EVENTS_PER_PHASE)
+    sp.add_argument("--n-per-phase", type=int, default=tomo.DEFAULT_EVENTS_PER_PHASE)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--dim", type=int, default=5)
     _add_gate_options(sp)
-    sp.add_argument("--with-traces", dest="with_traces", action="store_true")
+    sp.add_argument("--with-traces", action="store_true")
     sp.add_argument("--no-traces", dest="with_traces", action="store_false")
-    sp.add_argument("--trace-events", dest="trace_events", type=int, default=1000)
+    sp.add_argument("--trace-events", type=int, default=1000)
     sp.add_argument("--out", default="-")
     sp.set_defaults(func=cmd_pipeline, with_traces=True)
 
@@ -455,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="state spec, e.g. vacuum | fock:1 | "
                          "coeffs:0.79,-0.61j | rho:1.09,4.712,0.25")
     sp.add_argument("--ancilla", default="vacuum", help="state spec for the ancilla mode")
-    sp.add_argument("--sqz-var", dest="sqz_var", type=float, default=0.0)
+    sp.add_argument("--sqz-var", type=float, default=0.0)
     sp.add_argument("--kappa", type=float, default=1.0)
     sp.add_argument("--dim", type=int)
     sp.set_defaults(func=cmd_gate_noise)
@@ -468,10 +460,10 @@ def _parse_with_config(parser: argparse.ArgumentParser, argv, args):
     built-in defaults.
 
     Each key that names an option of the chosen subcommand becomes that
-    option's default; other keys and null values are ignored.  A value goes
-    in as its string form, so argparse converts and checks it with the
-    option's own type, exactly as it would a flag.  Switches take a JSON
-    boolean and list options a JSON list.
+    option's default; other keys and null values are ignored.  A value is
+    converted from its string form with the option's own type, exactly as a
+    flag would be, and a value that fails names the file and the key.
+    Switches take a JSON boolean and list options a JSON list.
     """
     with open(args.config) as fh:
         config = json.load(fh)
@@ -481,19 +473,23 @@ def _parse_with_config(parser: argparse.ArgumentParser, argv, args):
     sp = sub.choices[args.command]
     defaults = {}
     for action in sp._actions:
-        value = config.get(action.dest)
+        key, value = action.dest, config.get(action.dest)
         if value is None or action.default is argparse.SUPPRESS:
             continue
+        where = f"--config {args.config}: {key}"
         if action.nargs == 0:
             if not isinstance(value, bool):
-                sp.error(f"--config {args.config}: {action.dest} must be true or false")
-            defaults[action.dest] = value
-        elif action.nargs is None:
-            defaults[action.dest] = str(value)
-        elif isinstance(value, list):
-            defaults[action.dest] = [str(v) for v in value]
-        else:
-            sp.error(f"--config {args.config}: {action.dest} must be a list")
+                sp.error(f"{where} must be true or false")
+            defaults[key] = value
+            continue
+        if action.nargs is not None and not isinstance(value, list):
+            sp.error(f"{where} must be a list")
+        convert = action.type or str
+        try:
+            defaults[key] = (convert(str(value)) if action.nargs is None
+                             else [convert(str(v)) for v in value])
+        except ValueError:
+            sp.error(f"{where}: invalid {convert.__name__} value: {value!r}")
     sp.set_defaults(**defaults)
     return parser.parse_args(argv)
 

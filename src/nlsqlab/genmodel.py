@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import DimensionError, InvalidInputError
 from .fock import MIN_TWO_LEVEL_DIM, QuantumState, make_superposition
 
 #: herald() is a first-order model; larger pump/displacement amplitudes fall
@@ -81,6 +81,8 @@ def rho_theta_phi_L(params: GenerationParams, dim: int = MIN_TWO_LEVEL_DIM) -> Q
     rho00 = 1 - (1-L) sin^2(theta/2),  rho01 = sin(theta) e^{-i phi} sqrt(1-L) / 2,
     rho11 = (1-L) sin^2(theta/2).
     """
+    if dim < 2:
+        raise DimensionError(f"state cutoff {dim} too small; need at least 2")
     s2 = math.sin(params.theta / 2.0) ** 2
     eta = 1.0 - params.loss
     mat = np.zeros((dim, dim), dtype=complex)

@@ -49,6 +49,8 @@ def default_gammas() -> tuple[float, float, float]:
 
 def default_grid(frame: float = DEFAULT_FRAME, dt: float = DEFAULT_DT,
                  center: float = 0.0) -> np.ndarray:
+    if not (0.0 < frame < math.inf and 0.0 < dt < math.inf):
+        raise InvalidInputError(f"frame {frame} and step {dt} must be finite and positive")
     n = int(round(frame / dt)) + 1
     return center + (np.arange(n) - (n - 1) / 2.0) * dt
 
@@ -209,42 +211,51 @@ class MatchedFilter:
 _MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
-def design_matched_filter(target: TemporalMode, order: int = 3, seed: int = 0,
-                          starts: int = 8) -> MatchedFilter:
+def design_matched_filter(target: TemporalMode) -> MatchedFilter:
     """Pick three real pole frequencies whose time-reversed impulse response
     maximizes the overlap with the target packet.
 
     That response, for real poles p_n, is the composite packet with decay
-    rates 2*p_n.  A derivative-free multi-start search runs over strictly
-    ordered poles (so the confluent case cannot occur).  One evaluation
-    scores 1.0 for poles that overflow, are not distinct, leave more than
-    1 - MIN_CAPTURED_NORM of the packet outside the grid or give a response
-    that vanishes on it.  Otherwise it sums the three weighted exponentials
-    on the tau = t0 - t >= 0 support, computed once per design, and returns
-    minus the squared overlap with the target.  No mode is built until the
-    search ends.  Only third-order filters are supported.
+    rates 2*p_n.  A target built by `composite_mode` (three decay rates
+    carrying their partial-fraction weights) is therefore matched exactly
+    by p_n = gamma_n / 2, and no search runs.  Any other target (a
+    single-pole mode, a PCA estimate) gets one search; see `_searched_rates`.
     """
-    if order != 3:
-        raise InvalidInputError("only third-order filters are supported")
-    t = target.t
-    t0 = target.t0
-    dt = target.dt
+    rates = target.decay_rates
+    exact = len(rates) == 3 and target.weights == composite_weights(rates)
+    rates = sorted(rates if exact else _searched_rates(target))
+    response = composite_mode(rates, target.t0, target.t)
+    return MatchedFilter(poles=tuple(g / 2.0 for g in rates), response=response,
+                         overlap=mode_overlap(response, target))
+
+
+def _searched_rates(target: TemporalMode) -> tuple[float, float, float]:
+    """Decay rates 2*p_n of the best response: one Nelder-Mead search over
+    strictly ordered poles (never confluent) from the packet's mean delay.
+    One evaluation scores 1.0 for poles that overflow, are not distinct,
+    leave more than 1 - MIN_CAPTURED_NORM of the packet outside the grid or
+    give a response that vanishes on it.  Otherwise it sums the three
+    weighted exponentials on the tau = t0 - t >= 0 support, computed once
+    per design, and returns minus the squared overlap with the target.
+    Raises NumericalError when the search cannot improve on its start.
+    """
+    t, t0, dt = target.t, target.t0, target.dt
     tau_mean = float(np.sum((t0 - t) * target.samples ** 2) * dt)
     rate0 = 1.0 / max(tau_mean, 10.0 * dt)  # effective power decay rate
     span = t0 - float(t[0])
     support = t0 - t >= 0
     tau = (t0 - t)[support]
 
-    def poles_from(u):
+    def rates_from(u):
         p1 = math.exp(u[0])
         p2 = p1 * (1.0 + math.exp(u[1]))
         p3 = p2 * (1.0 + math.exp(u[2]))
-        return p1, p2, p3
+        return 2.0 * p1, 2.0 * p2, 2.0 * p3
 
     def objective(u):
         if max(u) > _MAX_EXP_ARG:
             return 1.0
-        gammas = tuple(2.0 * p for p in poles_from(u))
+        gammas = rates_from(u)
         if (math.isinf(gammas[2]) or not _distinct(gammas)
                 or _captured_norm(min(gammas), span) < MIN_CAPTURED_NORM):
             return 1.0
@@ -260,24 +271,13 @@ def design_matched_filter(target: TemporalMode, order: int = 3, seed: int = 0,
         inner = float(np.sum(samples / norm * target.samples) * dt)
         return -min(inner ** 2, 1.0)
 
-    rng = np.random.default_rng(seed)
     u0 = np.array([math.log(rate0 / 2.0), math.log(3.0), math.log(2.0)])
-    starts_list = [u0, u0 + np.array([0.0, 1.5, 1.5]), u0 + np.array([-0.5, 0.5, 2.0])]
-    while len(starts_list) < starts:
-        starts_list.append(u0 + rng.normal(0.0, 1.0, 3))
-    best_u, best_val = None, np.inf
-    for u_start in starts_list[:max(starts, 3)]:
-        res = minimize(objective, u_start, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-14,
-                                "maxiter": 4000, "maxfev": 6000})
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_u, best_val = res.x, float(res.fun)
-    if best_u is None or best_val >= 0.0:
-        raise NumericalError("filter design failed to improve on any start")
-    poles = poles_from(best_u)
-    response = composite_mode(tuple(2.0 * p for p in poles), t0, t)
-    return MatchedFilter(poles=poles, response=response,
-                         overlap=mode_overlap(response, target))
+    res = minimize(objective, u0, method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-14,
+                            "maxiter": 4000, "maxfev": 6000})
+    if not res.fun < 0.0:
+        raise NumericalError("filter design failed to improve on its start")
+    return rates_from(res.x)
 
 
 # ---------------------------------------------------------------------------

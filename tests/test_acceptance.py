@@ -126,7 +126,7 @@ def test_criterion_08_temporal_modes():
     with tracked(8, "matched filter, mode estimation, real-time readout", 120.0):
         grid = nl.default_grid()
         mode = nl.composite_mode(nl.default_gammas(), 0.0, grid)
-        filt = nl.design_matched_filter(mode, seed=0)
+        filt = nl.design_matched_filter(mode)
         assert filt.overlap >= 0.97
         traces = nl.simulate_traces(nl.fock_state(1, 5), mode, 10000, PHASES,
                                     seed=4)

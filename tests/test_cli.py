@@ -105,6 +105,26 @@ def test_usage_error_malformed_literals(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "gate-noise", "--input", "mystery:1")
     assert code == 2
+    for cutoff in ("0", "1"):
+        for state in (["--vacuum"], ["--theta", "1.09"]):
+            code, _, _ = run_cli(capsys, "nlsq", *state, "--dim", cutoff)
+            assert code == 2
+
+
+@pytest.mark.parametrize("dt_ns", ["0", "nan"])
+@pytest.mark.parametrize("command", ["mode", "filter-design", "traces", "pca"])
+def test_usage_error_bad_grid(tmp_path, capsys, command, dt_ns):
+    traces = tmp_path / "photon.bin"
+    extra = {"traces": ["--fock", "1", "--out", str(traces)],
+             "pca": ["--in", str(traces), "--compare"]}.get(command, [])
+    if command == "pca":
+        assert run_cli(capsys, "traces", "--fock", "1", "--events", "1000",
+                       "--frame-ns", "40", "--dt-ns", "0.4",
+                       "--out", str(traces))[0] == 0
+    code, out, err = run_cli(capsys, command, *extra, f"--dt-ns={dt_ns}")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error:") and "positive" in err
 
 
 def test_io_error_missing_input(capsys):
@@ -209,11 +229,12 @@ def test_mode_and_filter_design(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "mode", "--out", "-")
     assert code == 0
     assert out.splitlines()[0] == "t_ns,amplitude"
-    code, out, _ = run_cli(capsys, "filter-design", "--seed", "0")
+    code, out, _ = run_cli(capsys, "filter-design")
     assert code == 0
     blob = json.loads(out)
-    assert blob["overlap"] >= 0.97
-    assert len(blob["poles_rad_s"]) == 3
+    assert blob["overlap"] >= 1.0 - 1e-12
+    assert blob["poles_rad_s"] == sorted(g / 2 for g in nl.default_gammas())
+    assert run_cli(capsys, "filter-design", "--seed", "0")[0] == 2
 
 
 def test_traces_pca_chain(tmp_path, capsys):
@@ -336,6 +357,7 @@ def test_config_values_checked_like_flags(tmp_path, capsys, config):
     assert out == ""
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert f"--config {cfg}:" in err
 
 
 def test_module_entry_point_runs():

@@ -158,7 +158,7 @@ def test_overlap_grid_mismatch():
 
 def test_filter_matches_composite_target():
     target = default_composite()
-    filt = nl.design_matched_filter(target, seed=0)
+    filt = nl.design_matched_filter(target)
     assert filt.overlap >= 0.97
     assert filt.overlap > 0.9999  # poles land on the analytic optimum
     for pole, gamma in zip(sorted(filt.poles), sorted(nl.default_gammas())):
@@ -169,21 +169,71 @@ def test_filter_matches_single_pole_on_fine_grid():
     g = 4e8
     t = np.arange(-30e-9, 1e-9, 1e-12)
     target = nl.single_pole_mode(g, 0.0, t)
-    filt = nl.design_matched_filter(target, seed=0)
+    filt = nl.design_matched_filter(target)
     assert filt.overlap > 0.999
     poles = sorted(filt.poles)
     assert poles[0] == pytest.approx(g / 2.0, rel=0.05)
     assert poles[1] > 10 * poles[0]  # the other poles are pushed far out
 
 
-#: poles (rad/s) designed for the default three-cavity target at seed 0
-#: (regression values; the design must reproduce them bit for bit)
-DEFAULT_FILTER_POLES = (211743323.82141635, 571141673.1695355, 880274169.3638393)
+#: poles (rad/s) of the exact matched filter for the default three-cavity
+#: target: half of each decay rate, ascending
+DEFAULT_FILTER_POLES = tuple(sorted(g / 2 for g in nl.default_gammas()))
 
 
 def test_filter_poles_pinned_on_default_target():
-    filt = nl.design_matched_filter(default_composite(), seed=0)
+    filt = nl.design_matched_filter(default_composite())
     assert filt.poles == DEFAULT_FILTER_POLES
+    assert filt.overlap >= 1.0 - 1e-12
+
+
+def test_composite_target_needs_no_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("composite targets are matched exactly")
+
+    monkeypatch.setattr(temporal, "minimize", no_search)
+    gammas = (9e8, 2e8, 5e8)
+    filt = nl.design_matched_filter(nl.composite_mode(gammas, 0.0, nl.default_grid()))
+    assert filt.poles == (1e8, 2.5e8, 4.5e8)
+    assert filt.overlap >= 1.0 - 1e-12
+
+
+def _pca_estimate(window):
+    mode = default_composite()
+    ts = nl.simulate_traces(nl.fock_state(1, 5), mode, 10000, PHASES, seed=4)
+    return nl.pca_mode_estimate(ts, window=window)
+
+
+#: (target, overlap that an 8-start search reached; regression values).  One
+#: search from the mean-delay start must reach the same overlap.
+SEARCHED_TARGETS = [
+    (lambda: nl.single_pole_mode(4e8, 0.0, np.arange(-30e-9, 1e-9, 1e-12)),
+     1.0),
+    (lambda: nl.single_pole_mode(nl.default_gammas()[0], 0.0, nl.default_grid()),
+     0.9187903252949664),
+    (lambda: nl.single_pole_mode(1e9, 0.0, nl.default_grid()),
+     0.8187307530779822),
+    (lambda: _pca_estimate((-30e-9, 0.0)), 0.9907362752876955),
+    (lambda: _pca_estimate((-60e-9, 0.0)), 0.9801708512654669),
+]
+
+
+@pytest.mark.parametrize("make_target, overlap", SEARCHED_TARGETS,
+                         ids=["pole-4e8-1ps", "pole-gamma1", "pole-1e9",
+                              "pca-30ns", "pca-60ns"])
+def test_searched_filter_takes_one_search(monkeypatch, make_target, overlap):
+    target = make_target()
+    search = temporal.minimize
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(temporal, "minimize", counting)
+    filt = nl.design_matched_filter(target)
+    assert len(calls) == 1
+    assert filt.overlap == pytest.approx(overlap, abs=1e-12)
 
 
 def test_filter_design_builds_at_most_one_mode(monkeypatch):
@@ -195,20 +245,15 @@ def test_filter_design_builds_at_most_one_mode(monkeypatch):
         return nl.composite_mode(*args, **kwargs)
 
     monkeypatch.setattr(temporal, "composite_mode", counting)
-    nl.design_matched_filter(target, seed=0)
+    nl.design_matched_filter(target)
     assert len(calls) <= 1
 
 
 def test_filter_poles_independent_of_grid_offset():
     t = nl.default_grid(center=10e-9)
     target = nl.composite_mode(nl.default_gammas(), 20e-9, t)
-    filt = nl.design_matched_filter(target, seed=3)
+    filt = nl.design_matched_filter(target)
     assert filt.poles == DEFAULT_FILTER_POLES
-
-
-def test_filter_rejects_other_orders():
-    with pytest.raises(InvalidInputError):
-        nl.design_matched_filter(default_composite(), order=2)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +413,7 @@ def test_identical_weighting_gives_unit_correlation():
 
 def test_designed_filter_correlations_high():
     mode = default_composite()
-    filt = nl.design_matched_filter(mode, seed=0)
+    filt = nl.design_matched_filter(mode)
     ts = nl.simulate_traces(nl.fock_state(1, 5), mode, 10000, PHASES, seed=4)
     corr = nl.realtime_vs_postprocess(ts, filt, mode)
     assert len(corr) == len(PHASES)
