@@ -70,22 +70,26 @@ def _add_state_options(sp: argparse.ArgumentParser) -> None:
 
 
 def _state_from_options(ns: dict, deg: bool) -> fock.QuantumState:
-    dim = fock.MIN_TWO_LEVEL_DIM if ns.get("dim") is None else ns["dim"]
+    def cutoff(levels: int) -> int:
+        # An explicit --dim is kept as given, so the state constructors
+        # reject one below the state's number of levels.
+        return max(fock.MIN_TWO_LEVEL_DIM, levels) if ns.get("dim") is None else ns["dim"]
+
     if ns.get("coeffs") is not None:
         coeffs = [complex(c) for c in ns["coeffs"]]
-        state = fock.make_superposition(coeffs, max(dim, len(coeffs)))
+        state = fock.make_superposition(coeffs, cutoff(len(coeffs)))
     elif ns.get("fock") is not None:
         n = ns["fock"]
-        state = fock.fock_state(n, max(dim, n + 1))
+        state = fock.fock_state(n, cutoff(n + 1))
     elif ns.get("theta") is not None:
         params = genmodel.GenerationParams(
             theta=_angle(ns["theta"], deg),
             phi=_angle(ns.get("phi") or 0.0, deg),
             loss=ns.get("loss") or 0.0,
         )
-        return genmodel.rho_theta_phi_L(params, dim)
+        return genmodel.rho_theta_phi_L(params, cutoff(2))
     elif ns.get("vacuum"):
-        state = fock.vacuum(dim)
+        state = fock.vacuum(cutoff(1))
     else:
         raise InvalidInputError(
             "no state given: use --vacuum, --fock, --coeffs or --theta/--phi/--loss"

@@ -27,6 +27,9 @@ from .fock import QuantumState
 #: herald (t0 = 0 in frame coordinates).
 DEFAULT_DT = 0.2e-9
 DEFAULT_FRAME = 200e-9
+#: Most points a default grid may have (the default one has 1,001), so that
+#: a frame/step pair cannot allocate without bound.
+MAX_GRID_POINTS = 10 ** 7
 
 #: Cavity half-width-half-maximum linewidths (Hz) of the modeled source:
 #: the parametric oscillator and two idler filter cavities.
@@ -51,6 +54,9 @@ def default_grid(frame: float = DEFAULT_FRAME, dt: float = DEFAULT_DT,
                  center: float = 0.0) -> np.ndarray:
     if not (0.0 < frame < math.inf and 0.0 < dt < math.inf):
         raise InvalidInputError(f"frame {frame} and step {dt} must be finite and positive")
+    if not frame / dt < MAX_GRID_POINTS:
+        raise InvalidInputError(f"frame {frame} at step {dt} needs more than "
+                                f"{MAX_GRID_POINTS} grid points")
     n = int(round(frame / dt)) + 1
     return center + (np.arange(n) - (n - 1) / 2.0) * dt
 

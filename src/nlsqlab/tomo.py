@@ -175,6 +175,76 @@ def _bin_projectors(dim: int, phase: float, edges: np.ndarray, subdiv: int) -> n
     return pi
 
 
+def _binned(data: TomographyDataset, dim: int, n_bins: int, support,
+            subdiv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Projector stack and the cell of every sample.
+
+    Cell j = k * n_bins + b for the k-th unique phase and bin b, with the
+    bins of np.histogram over `support` (the last edge inclusive).  Row j of
+    the (J, dim**2) stack P is the cell's projector flattened, so that
+    P @ rho.T.ravel() gives every Tr(Pi_j rho).  A sample outside the
+    support has cell -1.
+    """
+    if dim < 2:
+        raise DimensionError("reconstruction needs dim >= 2")
+    if len(data) == 0:
+        raise InvalidInputError("empty dataset")
+    if not (n_bins >= 1 and support[0] < support[1]):
+        raise InvalidInputError(f"need n_bins >= 1 and an increasing support, "
+                                f"got {n_bins} and {support}")
+    edges = np.linspace(support[0], support[1], n_bins + 1)
+    x = data.values
+    phases = data.unique_phases()
+    k = np.searchsorted(phases, data.phases)
+    # The arithmetic bin is off by at most one near an edge; the edge
+    # comparisons settle it, as np.histogram does for uniform bins.
+    b = np.clip((x - edges[0]) * (n_bins / (edges[-1] - edges[0])), 0, n_bins - 1).astype(int)
+    b -= x < edges[b]
+    b += (x >= edges[b + 1]) & (b < n_bins - 1)
+    cell = np.where((x >= edges[0]) & (x <= edges[-1]), k * n_bins + b, -1)
+    P = np.concatenate([_bin_projectors(dim, float(p), edges, subdiv) for p in phases])
+    return P.reshape(-1, dim * dim), cell
+
+
+def _iterate(P: np.ndarray, counts: np.ndarray, dim: int, max_iters: int, tol: float):
+    """R*rho*R iteration on the cells with a nonzero count.
+
+    Returns (rho, iterations, log-likelihood per iteration, converged); rho
+    is projected back onto the PSD cone if round-off left it outside.
+    """
+    if max_iters < 1:
+        raise InvalidInputError("max_iters must be at least 1")
+    keep = counts > 0
+    if not keep.any():
+        raise InvalidInputError("no samples inside the MLE support")
+    # Re Tr(Pi rho) = sum_k Re Pi_k Re rho_k + Im Pi_k Im rho_k for Hermitian
+    # Pi and rho, so both products are real matrix-vector products on the
+    # stack viewed as (J, 2 dim**2) floats, real and imaginary parts interleaved.
+    P = P[keep].view(float)
+    f = counts[keep].astype(float)
+    rho = np.eye(dim, dtype=complex) / dim
+    trace = []
+    converged = False
+    for iters in range(1, max_iters + 1):
+        pr = np.maximum(P @ rho.ravel().view(float), MLE_PROB_FLOOR)
+        trace.append(float(f @ np.log(pr)))
+        r = ((f / pr) @ P).view(complex).reshape(dim, dim)
+        rho = r @ rho @ r
+        rho = (rho + rho.conj().T) / 2.0
+        rho /= rho.trace().real
+        if len(trace) > 1 and trace[-1] - trace[-2] < tol * abs(trace[-1]):
+            converged = True
+            break
+
+    eigs = np.linalg.eigvalsh(rho)
+    if eigs[0] < 0:  # tiny negative round-off; project back onto PSD cone
+        vals, vecs = np.linalg.eigh(rho)
+        vals = np.clip(vals, 0.0, None)
+        rho = (vecs * vals) @ vecs.conj().T
+        rho /= rho.trace().real
+    return rho, iters, trace, converged
+
+
 def mle_reconstruct(data: TomographyDataset, dim: int = 5,
                     max_iters: int = MLE_MAX_ITERS, tol: float = MLE_TOL,
                     n_bins: int = MLE_BINS, support=MLE_SUPPORT,
@@ -184,58 +254,18 @@ def mle_reconstruct(data: TomographyDataset, dim: int = 5,
     Iterates rho <- normalize(R(rho) rho R(rho)) with
     R = sum_j f_j / pr_j(rho) * Pi_j until the relative log-likelihood gain
     drops below `tol` or `max_iters` is reached (then flagged, not raised).
+    One iteration is two matrix-vector products with the projector stack.
     """
-    if dim < 2:
-        raise DimensionError("reconstruction needs dim >= 2")
-    if len(data) == 0:
-        raise InvalidInputError("empty dataset")
-    edges = np.linspace(support[0], support[1], n_bins + 1)
-    phases = data.unique_phases()
-    projectors = []
-    counts = []
-    dropped = 0
-    for phase in phases:
-        vals = data.values[data.phases == phase]
-        inside = vals[(vals >= support[0]) & (vals <= support[1])]
-        dropped += vals.size - inside.size
-        hist, _ = np.histogram(inside, bins=edges)
-        keep = hist > 0
-        projectors.append(_bin_projectors(dim, float(phase), edges, subdiv)[keep])
-        counts.append(hist[keep].astype(float))
-    pi = np.concatenate(projectors, axis=0)
-    f = np.concatenate(counts)
-
+    P, cell = _binned(data, dim, n_bins, support, subdiv)
+    inside = cell >= 0
+    rho, iters, trace, converged = _iterate(
+        P, np.bincount(cell[inside], minlength=len(P)), dim, max_iters, tol)
     warnings = []
+    dropped = cell.size - np.count_nonzero(inside)
     if dropped:
         warnings.append(f"dropped {dropped} samples outside {support}")
-
-    rho = np.eye(dim, dtype=complex) / dim
-    trace = []
-    converged = False
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        pr = np.einsum("jmn,nm->j", pi, rho).real
-        pr = np.clip(pr, MLE_PROB_FLOOR, None)
-        loglik = float(f @ np.log(pr))
-        trace.append(loglik)
-        r = np.einsum("j,jmn->mn", f / pr, pi)
-        rho = r @ rho @ r
-        rho = (rho + rho.conj().T) / 2.0
-        rho /= rho.trace().real
-        if len(trace) > 1:
-            gain = trace[-1] - trace[-2]
-            if gain < tol * abs(trace[-1]):
-                converged = True
-                break
     if not converged:
         warnings.append(f"no convergence after {max_iters} iterations")
-
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs[0] < 0:  # tiny negative round-off; project back onto PSD cone
-        vals, vecs = np.linalg.eigh(rho)
-        vals = np.clip(vals, 0.0, None)
-        rho = (vecs * vals) @ vecs.conj().T
-        rho /= rho.trace().real
     return MleResult(
         state=QuantumState(dim, rho),
         iters=iters,
@@ -260,27 +290,31 @@ class BootstrapErrors:
 
 def bootstrap_error(data: TomographyDataset, dim: int = 5, n_resamples: int = 50,
                     seed: int = 0, kappa: float = 1.0, order: int = 3,
-                    **mle_kwargs) -> BootstrapErrors:
+                    max_iters: int = MLE_MAX_ITERS, tol: float = MLE_TOL,
+                    n_bins: int = MLE_BINS, support=MLE_SUPPORT,
+                    subdiv: int = MLE_SUBDIV) -> BootstrapErrors:
     """Nonparametric bootstrap (stratified per phase) of the reconstruction.
 
     Returns the standard deviation, across resamples, of the NLSQ dB value
     and of every density-matrix entry (elementwise absolute deviation).
+    The data are binned once; a resample only recounts the cells of the
+    samples it draws, and is reconstructed as `mle_reconstruct` would.
     """
     from .nlsq import nlsq_db
 
     if n_resamples < 2:
         raise InvalidInputError("need at least 2 resamples")
+    P, cell = _binned(data, dim, n_bins, support, subdiv)
     rng = np.random.default_rng(seed)
     groups = [np.flatnonzero(data.phases == p) for p in data.unique_phases()]
     dbs = []
     rhos = []
     for _ in range(n_resamples):
-        picks = [g[rng.integers(0, g.size, g.size)] for g in groups]
-        idx = np.concatenate(picks)
-        resampled = TomographyDataset(phases=data.phases[idx], values=data.values[idx])
-        result = mle_reconstruct(resampled, dim=dim, **mle_kwargs)
-        dbs.append(nlsq_db(result.state, kappa, order))
-        rhos.append(result.state.matrix)
+        picked = cell[np.concatenate([g[rng.integers(0, g.size, g.size)] for g in groups])]
+        counts = np.bincount(picked[picked >= 0], minlength=len(P))
+        state = QuantumState(dim, _iterate(P, counts, dim, max_iters, tol)[0])
+        dbs.append(nlsq_db(state, kappa, order))
+        rhos.append(state.matrix)
     rhos = np.asarray(rhos)
     rho_err = np.sqrt(np.mean(np.abs(rhos - rhos.mean(axis=0)) ** 2, axis=0))
     return BootstrapErrors(db=float(np.std(dbs)), rho=rho_err, n_resamples=n_resamples)

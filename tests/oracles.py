@@ -116,3 +116,72 @@ def one_photon_pdf(x):
 
 def single_pole_inner_product(g1: float, g2: float) -> float:
     return 2.0 * np.sqrt(g1 * g2) / (g1 + g2)
+
+
+# --- homodyne maximum likelihood, einsum reference ---------------------------
+
+def _wavefunctions(dim, x):
+    psi = np.empty((dim, x.size))
+    psi[0] = np.pi ** -0.25 * np.exp(-x ** 2 / 2.0)
+    if dim > 1:
+        psi[1] = np.sqrt(2.0) * x * psi[0]
+    for n in range(1, dim - 1):
+        psi[n + 1] = np.sqrt(2.0 / (n + 1)) * x * psi[n] - np.sqrt(n / (n + 1)) * psi[n - 1]
+    return psi
+
+
+def _einsum_projectors(dim, phase, edges, subdiv):
+    n_bins = edges.size - 1
+    width = edges[1] - edges[0]
+    sub = (np.arange(subdiv) + 0.5) / subdiv
+    xs = (edges[:-1, None] + sub[None, :] * width).ravel()
+    v = np.exp(-1j * phase * np.arange(dim))[:, None] * _wavefunctions(dim, xs)
+    v = v.reshape(dim, n_bins, subdiv)
+    return np.einsum("mjs,njs->jmn", v, v.conj()) * (width / subdiv)
+
+
+def mle_einsum(phases, values, dim, max_iters=2000, tol=1e-9, n_bins=256,
+               support=(-6.0, 6.0), subdiv=8, floor=1e-12):
+    """The iterated R*rho*R estimate with one np.histogram per phase and
+    two einsum contractions per iteration.  Phases must already lie in
+    [0, pi).  Returns (rho, iters, loglik trace, converged, warnings)."""
+    edges = np.linspace(support[0], support[1], n_bins + 1)
+    projectors = []
+    counts = []
+    dropped = 0
+    for phase in np.unique(phases):
+        vals = values[phases == phase]
+        inside = vals[(vals >= support[0]) & (vals <= support[1])]
+        dropped += vals.size - inside.size
+        hist, _ = np.histogram(inside, bins=edges)
+        keep = hist > 0
+        projectors.append(_einsum_projectors(dim, float(phase), edges, subdiv)[keep])
+        counts.append(hist[keep].astype(float))
+    pi = np.concatenate(projectors, axis=0)
+    f = np.concatenate(counts)
+
+    warnings = []
+    if dropped:
+        warnings.append(f"dropped {dropped} samples outside {support}")
+    rho = np.eye(dim, dtype=complex) / dim
+    trace = []
+    converged = False
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        pr = np.einsum("jmn,nm->j", pi, rho).real
+        pr = np.clip(pr, floor, None)
+        trace.append(float(f @ np.log(pr)))
+        r = np.einsum("j,jmn->mn", f / pr, pi)
+        rho = r @ rho @ r
+        rho = (rho + rho.conj().T) / 2.0
+        rho /= rho.trace().real
+        if len(trace) > 1 and trace[-1] - trace[-2] < tol * abs(trace[-1]):
+            converged = True
+            break
+    if not converged:
+        warnings.append(f"no convergence after {max_iters} iterations")
+    if np.linalg.eigvalsh(rho)[0] < 0:
+        vals, vecs = np.linalg.eigh(rho)
+        rho = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+        rho /= rho.trace().real
+    return rho, iters, np.asarray(trace), converged, tuple(warnings)

@@ -109,9 +109,16 @@ def test_usage_error_malformed_literals(capsys):
         for state in (["--vacuum"], ["--theta", "1.09"]):
             code, _, _ = run_cli(capsys, "nlsq", *state, "--dim", cutoff)
             assert code == 2
+    # an explicit cutoff below the state's levels exits 2; without --dim it grows to fit
+    for state, cutoff in ((["--fock", "1"], "0"), (["--coeffs", "1", "0"], "1")):
+        code, out, err = run_cli(capsys, "nlsq", *state, "--dim", cutoff)
+        assert code == 2 and out == ""
+        assert "dim" in err.splitlines()[-1]
+    code, out, _ = run_cli(capsys, "nlsq", "--fock", "7")
+    assert code == 0 and out
 
 
-@pytest.mark.parametrize("dt_ns", ["0", "nan"])
+@pytest.mark.parametrize("dt_ns", ["0", "nan", "1e-6"])
 @pytest.mark.parametrize("command", ["mode", "filter-design", "traces", "pca"])
 def test_usage_error_bad_grid(tmp_path, capsys, command, dt_ns):
     traces = tmp_path / "photon.bin"
@@ -121,10 +128,13 @@ def test_usage_error_bad_grid(tmp_path, capsys, command, dt_ns):
         assert run_cli(capsys, "traces", "--fock", "1", "--events", "1000",
                        "--frame-ns", "40", "--dt-ns", "0.4",
                        "--out", str(traces))[0] == 0
-    code, out, err = run_cli(capsys, command, *extra, f"--dt-ns={dt_ns}")
+    # a 1e12 ns frame at a 1e-6 ns step would be 1e18 points
+    frame = ["--frame-ns=1e12"] if dt_ns == "1e-6" else []
+    code, out, err = run_cli(capsys, command, *extra, f"--dt-ns={dt_ns}", *frame)
     assert code == 2
     assert out == ""
-    assert err.splitlines()[-1].startswith("error:") and "positive" in err
+    assert err.splitlines()[-1].startswith("error:")
+    assert ("grid points" if frame else "positive") in err
 
 
 def test_io_error_missing_input(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nlsqlab as nl
+from nlsqlab import tomo
 from nlsqlab.errors import DimensionError, InvalidInputError
 
 import oracles
@@ -183,6 +184,84 @@ def test_mle_nonconvergence_is_flagged_not_raised():
     assert res.report()["warnings"]
 
 
+@pytest.mark.parametrize("n_per_phase", [1000, 21000])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dim", [3, 5, 10])
+def test_mle_loglik_rises_at_every_step(dim, seed, n_per_phase):
+    ds = nl.sample(nl.rho_theta_phi_L(POINT, dim), n_per_phase=n_per_phase, seed=seed)
+    res = nl.mle_reconstruct(ds, dim=dim)
+    assert res.converged
+    assert np.diff(res.loglik_trace).min() > 0
+
+
+def test_mle_rejects_degenerate_input():
+    ds = nl.sample(nl.vacuum(4), n_per_phase=50, seed=0)
+    with pytest.raises(InvalidInputError):
+        nl.mle_reconstruct(ds, dim=4, max_iters=0)
+    for binning in ({"n_bins": 0}, {"support": (1.0, 1.0)}, {"support": (2.0, -2.0)}):
+        with pytest.raises(InvalidInputError):
+            nl.mle_reconstruct(ds, dim=4, **binning)
+    outside = nl.TomographyDataset(phases=[0.0, 0.5], values=[7.0, -9.0])
+    with pytest.raises(InvalidInputError):
+        nl.mle_reconstruct(outside, dim=4)
+    with pytest.raises(InvalidInputError):
+        nl.bootstrap_error(outside, dim=4, n_resamples=2)
+
+
+# ---------------------------------------------------------------------------
+# the matrix-vector kernel against the einsum reference
+# ---------------------------------------------------------------------------
+
+def assert_same_mle(res, ref):
+    rho, iters, trace, converged, warnings = ref
+    assert res.iters == iters
+    assert res.converged == converged
+    assert res.warnings == warnings
+    assert np.abs(res.loglik_trace / trace - 1.0).max() <= 1e-12
+    assert np.abs(res.state.matrix - rho).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim, n_per_phase", [(2, 3000), (5, 3000), (10, 21000)])
+def test_mle_matches_einsum_reference(dim, n_per_phase):
+    ds = nl.sample(nl.rho_theta_phi_L(POINT, dim), n_per_phase=n_per_phase, seed=11)
+    assert_same_mle(nl.mle_reconstruct(ds, dim=dim),
+                    oracles.mle_einsum(ds.phases, ds.values, dim))
+
+
+def test_mle_matches_einsum_reference_nondefault_binning():
+    binning = {"n_bins": 128, "support": (-5.0, 5.0), "subdiv": 4}
+    ds = nl.sample(nl.rho_theta_phi_L(POINT, 5), n_per_phase=3000, seed=12)
+    assert_same_mle(nl.mle_reconstruct(ds, dim=5, **binning),
+                    oracles.mle_einsum(ds.phases, ds.values, 5, **binning))
+    # stopped by max_iters: the same iterate and the same warning
+    assert_same_mle(nl.mle_reconstruct(ds, dim=5, max_iters=7, **binning),
+                    oracles.mle_einsum(ds.phases, ds.values, 5, max_iters=7, **binning))
+
+
+def edge_dataset(n_per_phase=3000, n_bins=tomo.MLE_BINS, support=tomo.MLE_SUPPORT, **_):
+    """Sampled data plus every bin edge (support[1] included), the two float
+    neighbours of each edge and three values outside the support, spread
+    over the six phases.  Binning keys other than the edges are ignored."""
+    base = nl.sample(nl.rho_theta_phi_L(POINT, 5), n_per_phase=n_per_phase, seed=13)
+    edges = np.linspace(support[0], support[1], n_bins + 1)
+    extra = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                            [support[0] - 1.5, support[1] + 0.5, 40.0]])
+    return nl.TomographyDataset(
+        phases=np.concatenate([base.phases, np.resize(base.unique_phases(), extra.size)]),
+        values=np.concatenate([base.values, extra]))
+
+
+# The arithmetic bin index needs its downward correction at edges of all
+# three binnings, and its upward one at edges of the last two.
+@pytest.mark.parametrize("binning", [{}, {"n_bins": 100, "subdiv": 4},
+                                     {"n_bins": 7, "support": (-5.0, 5.0)}])
+def test_mle_matches_einsum_reference_at_edges_and_outside(binning):
+    ds = edge_dataset(**binning)
+    res = nl.mle_reconstruct(ds, dim=5, **binning)
+    assert_same_mle(res, oracles.mle_einsum(ds.phases, ds.values, 5, **binning))
+    assert res.warnings[0].startswith("dropped ")
+
+
 # ---------------------------------------------------------------------------
 # bootstrap errors
 # ---------------------------------------------------------------------------
@@ -208,6 +287,32 @@ def test_bootstrap_error_matches_reported_scale():
     truth = nl.rho_theta_phi_L(POINT, 5)
     errs = nl.bootstrap_error(nl.sample(truth, seed=7), dim=5, n_resamples=24, seed=1)
     assert 0.004 < errs.db < 0.4  # order of the reported +-0.04 dB
+
+
+def bootstrap_einsum(data, dim, n_resamples, seed, **binning):
+    """Resample into a TomographyDataset and reconstruct with the einsum
+    reference; returns the dB and density-matrix errors."""
+    rng = np.random.default_rng(seed)
+    groups = [np.flatnonzero(data.phases == p) for p in data.unique_phases()]
+    dbs, rhos = [], []
+    for _ in range(n_resamples):
+        idx = np.concatenate([g[rng.integers(0, g.size, g.size)] for g in groups])
+        resampled = nl.TomographyDataset(phases=data.phases[idx], values=data.values[idx])
+        rho = oracles.mle_einsum(resampled.phases, resampled.values, dim, **binning)[0]
+        state = nl.QuantumState(dim, rho)
+        dbs.append(nl.nlsq_db(state, 1.0, 3))
+        rhos.append(state.matrix)
+    rhos = np.asarray(rhos)
+    return np.std(dbs), np.sqrt(np.mean(np.abs(rhos - rhos.mean(axis=0)) ** 2, axis=0))
+
+
+@pytest.mark.parametrize("binning", [{}, {"n_bins": 128}])
+def test_bootstrap_matches_einsum_reference(binning):
+    ds = edge_dataset(2000, **binning)
+    got = nl.bootstrap_error(ds, dim=5, n_resamples=4, seed=2, **binning)
+    db, rho = bootstrap_einsum(ds, 5, 4, 2, **binning)
+    assert abs(got.db - db) <= 1e-12
+    assert np.abs(got.rho - rho).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
