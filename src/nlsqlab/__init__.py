@@ -21,9 +21,9 @@ from .nlsq import (NlsqResult, kappa_rescale, nlsq_db, noise_moments,
 from .temporal import (MatchedFilter, TemporalMode, TraceSet, composite_mode,
                        composite_weights, default_gammas, default_grid,
                        design_matched_filter, gamma_from_hwhm, load_traces,
-                       mode_overlap, mode_to_csv, pca_mode_estimate,
-                       realtime_vs_postprocess, save_traces, simulate_traces,
-                       single_pole_mode)
+                       mode_overlap, mode_quadratures, mode_to_csv,
+                       pca_mode_estimate, realtime_vs_postprocess, save_traces,
+                       simulate_traces, single_pole_mode)
 from .tomo import (BootstrapErrors, MleResult, TomographyDataset,
                    bootstrap_error, mle_reconstruct, oscillator_wavefunctions,
                    quadrature_pdf, read_dataset_csv, sample, sample_values,

@@ -315,7 +315,7 @@ def cmd_pipeline(args) -> int:
                                       np.repeat(phases, args.trace_events),
                                       seed=args.seed + 1)
         corr = temporal.realtime_vs_postprocess(ts, filt, mode)
-        q_rt = ts.traces @ filt.response.samples * ts.dt
+        q_rt = temporal.mode_quadratures(ts, filt.response)
         rt_ds = tomo.TomographyDataset(phases=ts.phases, values=q_rt,
                                        source="real-time filter output")
         rt_mle = tomo.mle_reconstruct(rt_ds, dim=dim)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DimensionError, InvalidInputError, NumericalError
+from .errors import DimensionError, InvalidInputError, NumericalError, TruncationError
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -233,15 +233,26 @@ def displacement_matrix(dim: int, alpha: complex) -> FockOperator:
     return FockOperator(dim, _displacement_tensor(dim, np.array([alpha]))[0])
 
 
+def _within_cutoff(state: QuantumState, u: np.ndarray, what: str) -> QuantumState:
+    """u rho u^dag for u the top-left block of a unitary: raises
+    TruncationError when more than TRACE_TOL of the population leaves the
+    cutoff."""
+    out = u @ state.matrix @ u.conj().T
+    leaked = 1.0 - float(out.trace().real)
+    if leaked > TRACE_TOL:
+        raise TruncationError(f"{what} leaks population {leaked:.3e} above the "
+                              f"cutoff dim={state.dim}; enlarge the cutoff")
+    return QuantumState(state.dim, out)
+
+
 def displace(state: QuantumState, alpha: complex) -> QuantumState:
     """Displace a state; <x> shifts by sqrt(2) Re(alpha), <p> by sqrt(2) Im(alpha).
 
     The truncated displacement leaks population above the cutoff for large
-    |alpha|; the output state validation will reject such cases, in which
-    case the caller should enlarge the cutoff.
+    |alpha|; a leak above TRACE_TOL raises TruncationError.
     """
     d = displacement_matrix(state.dim, alpha).matrix
-    return QuantumState(state.dim, d @ state.matrix @ d.conj().T)
+    return _within_cutoff(state, d, f"displacement by {alpha}")
 
 
 def squeezing_matrix(dim: int, r: float) -> FockOperator:
@@ -255,11 +266,15 @@ def squeezing_matrix(dim: int, r: float) -> FockOperator:
 def squeeze(state: QuantumState, r: float) -> QuantumState:
     """Squeeze a state: Var(x) scales by e^{-2r} (for r > 0).
 
-    Same truncation caveat as displace(): population near the cutoff leaks,
-    and the output validation rejects states the cutoff cannot hold.
+    The truncated squeezing operator is unitary on its own cutoff, so it
+    would fold population back below the cutoff instead of losing it.  The
+    operator is therefore built on twice the cutoff and cut to its top-left
+    block; as in displace(), a leak above TRACE_TOL raises TruncationError.
+    The leak it names is exact while the squeezed state fits in twice the
+    cutoff.
     """
-    s = squeezing_matrix(state.dim, r).matrix
-    return QuantumState(state.dim, s @ state.matrix @ s.conj().T)
+    s = squeezing_matrix(2 * state.dim, r).matrix[:state.dim, :state.dim]
+    return _within_cutoff(state, s, f"squeezing by r={r}")
 
 
 def wigner(state: QuantumState, xs, ps) -> np.ndarray:

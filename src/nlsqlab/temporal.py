@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.optimize import minimize
 
 from .errors import (AmbiguityError, DegeneratePoleError, DimensionError,
@@ -37,6 +38,9 @@ DEFAULT_CAVITY_HWHM_HZ = (33.7e6, 140.1e6, 90.9e6)
 
 MIN_CAPTURED_NORM = 0.999
 MIN_PCA_EVENTS = 1000
+#: Trace rows that simulation and projection handle at a time in float64;
+#: one block (1 MB on the default grid) stays in cache between its steps.
+_CHUNK = 128
 
 
 def gamma_from_hwhm(hwhm_hz: float) -> float:
@@ -293,7 +297,8 @@ def _searched_rates(target: TemporalMode) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class TraceSet:
-    """Simulated continuous homodyne records, one row per heralding event."""
+    """Simulated continuous homodyne records, one row per heralding event,
+    held as float32 (the precision of the trace file)."""
 
     traces: np.ndarray
     dt: float
@@ -301,7 +306,7 @@ class TraceSet:
     t: np.ndarray
 
     def __post_init__(self):
-        traces = np.asarray(self.traces, dtype=float)
+        traces = np.asarray(self.traces, dtype=np.float32)
         phases = np.asarray(self.phases, dtype=float).ravel()
         t = np.asarray(self.t, dtype=float).ravel()
         if traces.ndim != 2:
@@ -359,9 +364,14 @@ def simulate_traces(state: QuantumState, mode: TemporalMode, n_events: int,
         x_grid, cdf = _cdf_table(state, float(phase))
         q[idx] = np.interp(u[idx], cdf, x_grid)
 
-    noise = rng_noise.standard_normal((n_events, f.size)) / math.sqrt(2.0 * dt)
-    noise -= np.outer(noise @ f * dt, f)
-    traces = np.outer(q, f) + noise
+    # One block of rows at a time: the Generator fills a block with the next
+    # values of its stream, so the float32 result does not depend on _CHUNK.
+    traces = np.empty((n_events, f.size), dtype=np.float32)
+    for start in range(0, n_events, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        noise = rng_noise.standard_normal(traces[rows].shape) / math.sqrt(2.0 * dt)
+        noise -= np.outer(noise @ f * dt, f)
+        traces[rows] = np.outer(q[rows], f) + noise
     return TraceSet(traces=traces, dt=dt, phases=phase_per_event, t=mode.t)
 
 
@@ -373,43 +383,57 @@ def pca_mode_estimate(traces: TraceSet, window=None) -> TemporalMode:
     `window = (t_lo, t_hi)` restricts the analysis to bins inside the window
     (estimation error grows with the number of analyzed bins, so localizing
     around the herald helps); outside bins enter the returned mode as zeros.
+    The centered traces and their product stay float32; only the two
+    largest eigenpairs of the float64 covariance are computed.
     """
     if traces.n_events < MIN_PCA_EVENTS:
         raise InvalidInputError(f"need at least {MIN_PCA_EVENTS} traces")
-    sel = np.ones(traces.n_bins, dtype=bool)
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
-        sel = (traces.t >= lo) & (traces.t <= hi)
-        if not np.any(sel):
-            raise InvalidInputError("analysis window contains no grid points")
-    x = traces.traces[:, sel]
-    x = x - x.mean(axis=0)
-    cov = (x.T @ x) / traces.n_events
-    cov -= np.eye(cov.shape[0]) / (2.0 * traces.dt)
-    vals, vecs = np.linalg.eigh(cov)
-    mu1, mu2 = vals[-1], vals[-2]
+    lo, hi = (-math.inf, math.inf) if window is None else (float(window[0]), float(window[1]))
+    inside = np.flatnonzero((traces.t >= lo) & (traces.t <= hi))
+    if inside.size < 2:
+        raise InvalidInputError(f"analysis window holds {inside.size} grid "
+                                "point(s); PCA needs at least 2")
+    # The grid increases, so the window is one slice: a view, not a copy.
+    first, stop = int(inside[0]), int(inside[-1]) + 1
+    x = traces.traces[:, first:stop]
+    x = np.subtract(x, x.mean(axis=0, dtype=np.float64),
+                    out=np.empty(x.shape, dtype=np.float32), casting="same_kind")
+    cov = (x.T @ x).astype(np.float64) / traces.n_events
+    del x  # free the centered copy before the eigensolver runs
+    n = stop - first
+    cov[np.diag_indices(n)] -= 1.0 / (2.0 * traces.dt)
+    (mu2, mu1), vecs = eigh(cov, subset_by_index=[n - 2, n - 1])
     if mu1 <= 0 or mu1 < 2.0 * max(mu2, 0.0):
         raise AmbiguityError(
             f"leading covariance eigenvalue {mu1:.3e} is not separated from "
             f"the next one {mu2:.3e}; no preferred temporal mode"
         )
     full = np.zeros(traces.n_bins)
-    full[sel] = vecs[:, -1]
+    full[first:stop] = vecs[:, 1]
     if full[np.argmax(np.abs(full))] < 0:
         full = -full
-    t0 = float(traces.t[sel][-1])
-    return TemporalMode((), (), t0, traces.t, full)
+    return TemporalMode((), (), float(traces.t[stop - 1]), traces.t, full)
+
+
+def mode_quadratures(traces: TraceSet, mode: TemporalMode) -> np.ndarray:
+    """Mode-weighted integral sum_t x(t) f(t) dt of every trace: its
+    quadrature in `mode`.  Rows are cast to float64 one block at a time, so
+    the products accumulate in float64 without a float64 copy of the set."""
+    if mode.t.shape != traces.t.shape or not np.allclose(mode.t, traces.t, rtol=0, atol=1e-15):
+        raise DimensionError("mode grid must match the trace grid")
+    out = np.empty(traces.n_events)
+    for start in range(0, traces.n_events, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        out[rows] = traces.traces[rows].astype(np.float64) @ mode.samples
+    return out * traces.dt
 
 
 def realtime_vs_postprocess(traces: TraceSet, filt, mode: TemporalMode) -> dict:
     """Pearson correlation, per LO phase, between the digital mode-weighted
     integral and the filtered signal sampled at the herald time."""
     response = filt.response if isinstance(filt, MatchedFilter) else filt
-    for m in (response, mode):
-        if m.t.shape != traces.t.shape or not np.allclose(m.t, traces.t, rtol=0, atol=1e-15):
-            raise DimensionError("filter/mode grids must match the trace grid")
-    q_pp = traces.traces @ mode.samples * traces.dt
-    q_rt = traces.traces @ response.samples * traces.dt
+    q_pp = mode_quadratures(traces, mode)
+    q_rt = mode_quadratures(traces, response)
     out = {}
     for phase in np.unique(traces.phases):
         idx = traces.phases == phase
@@ -431,8 +455,8 @@ def save_traces(traces: TraceSet, fh) -> None:
     row-major float32 samples, then one float64 phase per event.  Frames are
     stored relative to the herald (grid centered on t0 = 0)."""
     fh.write(_HEADER.pack(traces.n_events, traces.n_bins, traces.dt * 1e9))
-    fh.write(traces.traces.astype("<f4").tobytes(order="C"))
-    fh.write(traces.phases.astype("<f8").tobytes())
+    fh.write(np.ascontiguousarray(traces.traces, dtype="<f4"))
+    fh.write(np.ascontiguousarray(traces.phases, dtype="<f8"))
 
 
 def load_traces(fh) -> TraceSet:
@@ -461,7 +485,7 @@ def load_traces(fh) -> TraceSet:
     if fh.read(1):
         raise InvalidInputError("trailing bytes after the phase block")
     t = (np.arange(n_bins) - (n_bins - 1) / 2.0) * dt
-    return TraceSet(traces=payload.astype(float).reshape(n_events, n_bins),
+    return TraceSet(traces=payload.reshape(n_events, n_bins),
                     dt=dt, phases=phases.astype(float), t=t)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError
+from .errors import DimensionError, InvalidInputError, TruncationError
 from .fock import QuantumState
 
 DEFAULT_PHASES = tuple(np.deg2rad([0.0, 30.0, 60.0, 90.0, 120.0, 150.0]))
@@ -31,6 +31,8 @@ MLE_MAX_ITERS = 2000
 
 SAMPLER_SUPPORT = (-8.0, 8.0)
 SAMPLER_POINTS = 8192
+#: Least share of the quadrature distribution the sampler support must hold.
+SAMPLER_MIN_MASS = 1.0 - 1e-9
 
 
 def oscillator_wavefunctions(dim: int, x) -> np.ndarray:
@@ -103,6 +105,11 @@ def _cdf_table(state: QuantumState, phase: float):
     x = np.linspace(*SAMPLER_SUPPORT, SAMPLER_POINTS)
     pdf = quadrature_pdf(state, phase, x)
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2.0 * np.diff(x))])
+    if not cdf[-1] >= SAMPLER_MIN_MASS:
+        raise TruncationError(
+            f"sampler support {SAMPLER_SUPPORT} holds only {cdf[-1]:.12f} of the "
+            f"quadrature distribution at phase {phase:g} (needs {SAMPLER_MIN_MASS})"
+        )
     cdf /= cdf[-1]
     return x, cdf
 

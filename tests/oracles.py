@@ -5,6 +5,8 @@ explicit small matrices, or brute-force grids) without calling the package's
 own implementation paths.
 """
 
+import math
+
 import numpy as np
 
 SQRT2 = np.sqrt(2.0)
@@ -185,3 +187,41 @@ def mle_einsum(phases, values, dim, max_iters=2000, tol=1e-9, n_bins=256,
         rho = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
         rho /= rho.trace().real
     return rho, iters, np.asarray(trace), converged, tuple(warnings)
+
+
+# --- homodyne traces, one-shot float64 reference -----------------------------
+
+def traces_one_shot(quadrature_cdf, f, dt, n_events, phases, seed):
+    """Homodyne records q*f(t) + vacuum noise orthogonal to f, simulated in
+    float64 with all noise drawn in one call.  `quadrature_cdf(phase)` gives
+    the (x, cdf) table the quadratures are drawn from by inverse transform.
+    Returns the float64 traces (n_events, f.size)."""
+    phase_per_event = np.resize(np.asarray(phases, dtype=float), n_events)
+    rng_q, rng_noise = (np.random.default_rng(c)
+                        for c in np.random.SeedSequence(seed).spawn(2))
+    u = rng_q.random(n_events)
+    q = np.empty(n_events)
+    for phase in np.unique(phase_per_event):
+        idx = np.flatnonzero(phase_per_event == phase)
+        x, cdf = quadrature_cdf(float(phase))
+        q[idx] = np.interp(u[idx], cdf, x)
+    noise = rng_noise.standard_normal((n_events, f.size)) / np.sqrt(2.0 * dt)
+    noise -= np.outer(noise @ f * dt, f)
+    return np.outer(q, f) + noise
+
+
+# --- population above a photon-number cutoff ---------------------------------
+
+def coherent_tail(alpha: complex, dim: int) -> float:
+    """Poisson population of levels >= dim in the coherent state |alpha>."""
+    mean = abs(alpha) ** 2
+    return 1.0 - sum(math.exp(-mean) * mean ** n / math.factorial(n) for n in range(dim))
+
+
+def squeezed_vacuum_tail(r: float, dim: int) -> float:
+    """Population of levels >= dim in the squeezed vacuum S(r)|0>:
+    P(2m) = (2m)! / (2^m m!)^2 tanh(r)^(2m) / cosh(r)."""
+    t2 = math.tanh(r) ** 2
+    kept = sum(math.factorial(2 * m) / (2 ** m * math.factorial(m)) ** 2 * t2 ** m
+               for m in range((dim + 1) // 2))
+    return 1.0 - kept / math.cosh(r)

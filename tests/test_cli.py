@@ -153,6 +153,26 @@ def test_numerical_error_from_ambiguous_pca(tmp_path, capsys):
     assert "numerical error" in err
 
 
+@pytest.mark.parametrize("window", ["0,0", "-0.1,0.1", "1,-1"])
+def test_usage_error_from_pca_window_below_two_points(tmp_path, capsys, window):
+    traces = tmp_path / "photon.bin"
+    assert run_cli(capsys, "traces", "--fock", "1", "--events", "1000",
+                   "--out", str(traces))[0] == 0
+    code, out, err = run_cli(capsys, "pca", "--in", str(traces),
+                             f"--window-ns={window}")
+    assert code == 2
+    assert out == ""
+    assert "PCA needs at least 2" in err
+
+
+@pytest.mark.parametrize("command", ["sample", "traces"])
+def test_usage_error_from_sampler_truncation(tmp_path, capsys, command):
+    out_file = tmp_path / "out.bin"
+    code, out, err = run_cli(capsys, command, "--fock", "30", "--out", str(out_file))
+    assert code == 2
+    assert "holds only" in err
+
+
 def test_usage_error_from_malformed_trace_file(tmp_path, capsys):
     traces = tmp_path / "photon.bin"
     code, _, _ = run_cli(capsys, "traces", "--fock", "1", "--events", "1000",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nlsqlab as nl
-from nlsqlab.errors import DimensionError, InvalidInputError
+from nlsqlab.errors import DimensionError, InvalidInputError, TruncationError
 
 import oracles
 
@@ -272,6 +272,31 @@ def test_squeeze_map_matches_analytic_squeezed_vacuum():
     squeezed_coherent = nl.squeeze(nl.displace(nl.vacuum(60), 0.3), 0.4)
     var_x = nl.moment(squeezed_coherent, x2) - nl.moment(squeezed_coherent, x) ** 2
     assert var_x == pytest.approx(np.exp(-0.8) / 2, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 1.5j])
+def test_displace_names_population_leaked_above_cutoff(alpha):
+    leaked = oracles.coherent_tail(alpha, 10)
+    with pytest.raises(TruncationError, match=f"leaks population {leaked:.3e} "
+                                              "above the cutoff dim=10"):
+        nl.displace(nl.vacuum(10), alpha)
+
+
+@pytest.mark.parametrize("r, dim", [(0.5, 10), (-1.0, 30), (0.2, 12)])
+def test_squeeze_names_population_leaked_above_cutoff(r, dim):
+    leaked = oracles.squeezed_vacuum_tail(r, dim)
+    with pytest.raises(TruncationError, match=f"leaks population {leaked:.3e} "
+                                              f"above the cutoff dim={dim}"):
+        nl.squeeze(nl.vacuum(dim), r)
+
+
+def test_squeeze_does_not_fold_population_back_below_cutoff():
+    # the truncated squeezing matrix is unitary on its own cutoff, so a
+    # squeeze computed there alone keeps unit trace however much it loses
+    with pytest.raises(TruncationError):
+        nl.squeeze(nl.vacuum(10), 3.0)
+    kept = nl.squeeze(nl.vacuum(40), 0.4)
+    assert kept.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_squeezed_vacuum_variance():

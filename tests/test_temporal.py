@@ -1,12 +1,13 @@
 import io
 import struct
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
 import nlsqlab as nl
-from nlsqlab import temporal
+from nlsqlab import temporal, tomo
 from nlsqlab.errors import (AmbiguityError, DegeneratePoleError, DimensionError,
                             InvalidInputError, TruncationError)
 
@@ -213,8 +214,8 @@ SEARCHED_TARGETS = [
      0.9187903252949664),
     (lambda: nl.single_pole_mode(1e9, 0.0, nl.default_grid()),
      0.8187307530779822),
-    (lambda: _pca_estimate((-30e-9, 0.0)), 0.9907362752876955),
-    (lambda: _pca_estimate((-60e-9, 0.0)), 0.9801708512654669),
+    (lambda: _pca_estimate((-30e-9, 0.0)), 0.9907362744969845),
+    (lambda: _pca_estimate((-60e-9, 0.0)), 0.9801708505401907),
 ]
 
 
@@ -348,6 +349,45 @@ def test_traceset_validation():
                     t=np.zeros(3))
 
 
+CHUNK = temporal._CHUNK
+
+
+@pytest.mark.parametrize("n_events", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_blocked_simulation_matches_one_shot_reference(n_events):
+    mode = default_composite()
+    state = nl.fock_state(1, 5)
+    ts = nl.simulate_traces(state, mode, n_events, PHASES, seed=3)
+    ref = oracles.traces_one_shot(lambda phase: tomo._cdf_table(state, phase),
+                                  mode.samples, mode.dt, n_events, PHASES, seed=3)
+    assert ts.traces.dtype == np.float32
+    assert ts.traces.tobytes() == ref.astype(np.float32).tobytes()
+
+
+def test_traces_stay_float32_through_save_and_load():
+    mode = default_composite()
+    ts = nl.simulate_traces(nl.fock_state(1, 5), mode, CHUNK + 3, PHASES, seed=2)
+    assert ts.traces.dtype == np.float32
+    buf = io.BytesIO()
+    nl.save_traces(ts, buf)
+    back = nl.load_traces(io.BytesIO(buf.getvalue()))
+    assert back.traces.dtype == np.float32
+    assert back.traces.tobytes() == ts.traces.tobytes()
+    assert np.array_equal(back.phases, ts.phases)
+    assert nl.TraceSet(np.zeros((2, 3)), 1e-9, np.zeros(2), np.zeros(3)).traces.dtype == np.float32
+
+
+def test_mode_quadratures_accumulate_in_float64():
+    mode = default_composite()
+    ts = nl.simulate_traces(nl.fock_state(1, 5), mode, 2 * CHUNK + 1, PHASES, seed=2)
+    q = nl.mode_quadratures(ts, mode)
+    ref = ts.traces.astype(np.float64) @ mode.samples * ts.dt
+    assert q.dtype == np.float64
+    assert np.allclose(q, ref, rtol=1e-12, atol=0.0)
+    other_grid = nl.composite_mode(nl.default_gammas(), 0.0, nl.default_grid(dt=0.4e-9))
+    with pytest.raises(DimensionError, match="grid"):
+        nl.mode_quadratures(ts, other_grid)
+
+
 # ---------------------------------------------------------------------------
 # PCA mode estimation
 # ---------------------------------------------------------------------------
@@ -397,6 +437,78 @@ def test_pca_consistency_with_more_events():
         overlaps.append(nl.mode_overlap(est, mode))
     assert np.all(np.diff(overlaps) > 0)
     assert overlaps[-1] > 0.998
+
+
+@pytest.fixture(scope="module")
+def photon_traces():
+    return nl.simulate_traces(nl.fock_state(1, 5), default_composite(), 10000,
+                              PHASES, seed=4)
+
+
+@pytest.mark.parametrize("window", [None, (-30e-9, 0.0)], ids=["full", "30ns"])
+def test_pca_top_two_eigenpairs_match_full_eigh(monkeypatch, photon_traces, window):
+    real = temporal.eigh
+    seen = []
+
+    def recording(cov, **kwargs):
+        result = real(cov, **kwargs)
+        seen.append((cov.copy(), result))
+        return result
+
+    monkeypatch.setattr(temporal, "eigh", recording)
+    est = nl.pca_mode_estimate(photon_traces, window=window)
+    (cov, ((mu2, mu1), _)), = seen
+    assert cov.dtype == np.float64
+    vals, vecs = np.linalg.eigh(cov)
+    assert mu1 == pytest.approx(vals[-1], rel=1e-9)
+    assert mu2 == pytest.approx(vals[-2], rel=1e-9)
+    top = np.zeros(photon_traces.n_bins)
+    keep = np.ones(top.size, dtype=bool) if window is None else (
+        (photon_traces.t >= window[0]) & (photon_traces.t <= window[1]))
+    top[keep] = vecs[:, -1]
+    overlap = (top @ est.samples) ** 2 / (est.samples @ est.samples)
+    assert overlap >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("mu1, mu2, ambiguous", [
+    (2.0, 1.0, False), (2.0 - 1e-9, 1.0, True), (1.0, -3.0, False),
+    (0.0, -1.0, True), (-1.0, -2.0, True)])
+def test_pca_ambiguity_threshold(monkeypatch, photon_traces, mu1, mu2, ambiguous):
+    real = temporal.eigh
+
+    def fixed_values(cov, **kwargs):
+        return np.array([mu2, mu1]), real(cov, **kwargs)[1]
+
+    monkeypatch.setattr(temporal, "eigh", fixed_values)
+    if ambiguous:
+        with pytest.raises(AmbiguityError):
+            nl.pca_mode_estimate(photon_traces, window=(-30e-9, 0.0))
+    else:
+        nl.pca_mode_estimate(photon_traces, window=(-30e-9, 0.0))
+
+
+@pytest.mark.parametrize("window", [(0.0, 0.0), (-0.1e-9, 0.1e-9), (1e-9, -1e-9)])
+def test_pca_window_needs_two_grid_points(photon_traces, window):
+    with pytest.raises(InvalidInputError, match="at least 2"):
+        nl.pca_mode_estimate(photon_traces, window=window)
+
+
+def test_trace_memory_stays_near_the_float32_set():
+    mode = default_composite()
+    state = nl.fock_state(1, 5)
+    tracemalloc.start()
+    try:
+        ts = nl.simulate_traces(state, mode, 10000, PHASES, seed=4)
+        simulate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        nl.pca_mode_estimate(ts)
+        pca_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ts.traces.nbytes == 4 * 10000 * mode.t.size
+    assert simulate_peak <= 1.5 * ts.traces.nbytes
+    assert pca_peak <= 1.5 * ts.traces.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +563,7 @@ def test_traces_feed_tomography_roundtrip():
         nl.GenerationParams(theta=1.09, phi=3 * np.pi / 2, loss=0.25), 5)
     mode = default_composite()
     ts = nl.simulate_traces(truth, mode, 12000, PHASES, seed=10)
-    q = ts.traces @ mode.samples * ts.dt
+    q = nl.mode_quadratures(ts, mode)
     ds = nl.TomographyDataset(phases=ts.phases, values=q)
     res = nl.mle_reconstruct(ds, dim=5)
     assert nl.fidelity(res.state, truth) >= 0.99

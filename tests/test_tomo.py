@@ -5,7 +5,7 @@ import pytest
 
 import nlsqlab as nl
 from nlsqlab import tomo
-from nlsqlab.errors import DimensionError, InvalidInputError
+from nlsqlab.errors import DimensionError, InvalidInputError, TruncationError
 
 import oracles
 
@@ -122,6 +122,21 @@ def test_sample_deterministic_bytes():
 def test_sample_requires_events():
     with pytest.raises(InvalidInputError):
         nl.sample(nl.vacuum(5), n_per_phase=0)
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_sampler_rejects_mass_outside_its_support(n):
+    # |n> reaches past x = 8 for n of about 20 and more; the sampler would
+    # otherwise renormalise what its support holds and drop the rest
+    with pytest.raises(TruncationError, match="holds only"):
+        nl.sample(nl.fock_state(n, n + 1), n_per_phase=10)
+    mode = nl.composite_mode(nl.default_gammas(), 0.0, nl.default_grid())
+    with pytest.raises(TruncationError, match="holds only"):
+        nl.simulate_traces(nl.fock_state(n, n + 1), mode, 10, [0.0])
+
+
+def test_sampler_accepts_states_inside_its_support():
+    assert len(nl.sample(nl.fock_state(10, 11), n_per_phase=10)) == 60
 
 
 # ---------------------------------------------------------------------------
