@@ -306,7 +306,8 @@ class TraceSet:
     t: np.ndarray
 
     def __post_init__(self):
-        traces = np.asarray(self.traces, dtype=np.float32)
+        # A view, so freezing it leaves a float32 caller's array writable.
+        traces = np.asarray(self.traces, dtype=np.float32).view()
         phases = np.asarray(self.phases, dtype=float).ravel()
         t = np.asarray(self.t, dtype=float).ravel()
         if traces.ndim != 2:

@@ -225,3 +225,31 @@ def squeezed_vacuum_tail(r: float, dim: int) -> float:
     kept = sum(math.factorial(2 * m) / (2 ** m * math.factorial(m)) ** 2 * t2 ** m
                for m in range((dim + 1) // 2))
     return 1.0 - kept / math.cosh(r)
+
+
+# --- dataset CSV, one row at a time -------------------------------------------
+
+def write_dataset_csv_rows(phases, values, fh):
+    """The `phase_deg,quadrature` file written row by row: the phase in
+    degrees and the value, each as the repr of a Python float."""
+    fh.write("phase_deg,quadrature\n")
+    for phase, value in zip(phases, values):
+        fh.write(f"{math.degrees(phase)!r},{float(value)!r}\n")
+
+
+def read_dataset_csv_rows(fh):
+    """(phases in radians, values) parsed row by row with Python's float();
+    blank and whitespace-only lines are skipped."""
+    header = fh.readline().strip()
+    if header != "phase_deg,quadrature":
+        raise ValueError(f"unexpected dataset header {header!r}")
+    phases = []
+    values = []
+    for line in fh:
+        line = line.strip()
+        if not line:
+            continue
+        a, b = line.split(",")
+        phases.append(math.radians(float(a)))
+        values.append(float(b))
+    return np.asarray(phases, dtype=float), np.asarray(values, dtype=float)

@@ -2,6 +2,7 @@ import json
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,22 @@ def test_sample_reconstruct_chain(tmp_path, capsys):
     truth = nl.rho_theta_phi_L(
         nl.GenerationParams(theta=1.09, phi=4.712, loss=0.25), 5)
     assert nl.fidelity(state, truth) > 0.98
+
+
+@pytest.mark.parametrize("body", [
+    "", "0.0\n", "0.0,1.0,2.0\n", "0.0,1.0\n30.0\n", "zero,1.0\n", "0.0,\n",
+    "nan,1.0\n", "0.0,inf\n", "1_0,1.0\n",
+], ids=["header-only", "one-field", "three-fields", "short-row", "text", "empty-field",
+        "nan", "inf", "digit-separator"])
+def test_reconstruct_rejects_malformed_dataset(tmp_path, capsys, body):
+    data = tmp_path / "data.csv"
+    data.write_text("phase_deg,quadrature\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "reconstruct", "--in", str(data))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error:")
 
 
 def test_herald_outputs_state_json(capsys):

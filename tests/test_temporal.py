@@ -349,6 +349,15 @@ def test_traceset_validation():
                     t=np.zeros(3))
 
 
+def test_traceset_leaves_the_callers_array_writable():
+    a = np.zeros((2, 3), dtype=np.float32)
+    ts = nl.TraceSet(a, 1e-9, np.zeros(2), np.zeros(3))
+    assert np.shares_memory(ts.traces, a)
+    assert not ts.traces.flags.writeable
+    a[0, 0] = 1.0
+    assert ts.traces[0, 0] == 1.0
+
+
 CHUNK = temporal._CHUNK
 
 

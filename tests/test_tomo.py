@@ -1,7 +1,11 @@
 import io
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlsqlab as nl
 from nlsqlab import tomo
@@ -347,3 +351,97 @@ def test_dataset_csv_roundtrip_exact():
 def test_dataset_csv_header_check():
     with pytest.raises(InvalidInputError):
         nl.read_dataset_csv(io.StringIO("wrong,header\n0,1\n"))
+
+
+def write_both(ds):
+    """The dataset CSV from the package's writer and from the per-row reference."""
+    got, ref = io.StringIO(), io.StringIO()
+    nl.write_dataset_csv(ds, got)
+    oracles.write_dataset_csv_rows(ds.phases, ds.values, ref)
+    return got.getvalue(), ref.getvalue()
+
+
+def assert_reads_like_reference(text):
+    ds = nl.read_dataset_csv(io.StringIO(text))
+    phases, values = oracles.read_dataset_csv_rows(io.StringIO(text))
+    ref = nl.TomographyDataset(phases=phases, values=values)
+    assert np.array_equal(ds.phases.view(np.uint64), ref.phases.view(np.uint64))
+    assert np.array_equal(ds.values.view(np.uint64), ref.values.view(np.uint64))
+    return ds
+
+
+# Whole degrees whose radian phase moves by an ulp through the degree column.
+ULP_DEGREES = (3.0, 57.0, 105.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+              st.integers(-720, 720).map(math.radians),
+              st.sampled_from(ULP_DEGREES).map(math.radians)),
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from((-0.0, 5e-324, -2.2e-308, 1e308, -1e308)))),
+    max_size=40))
+def test_dataset_csv_matches_per_row_reference(rows):
+    ds = nl.TomographyDataset(phases=[p for p, _ in rows], values=[v for _, v in rows])
+    got, ref = write_both(ds)
+    assert got == ref
+    back = assert_reads_like_reference(got)
+    assert np.array_equal(back.values.view(np.uint64), ds.values.view(np.uint64))
+
+
+def test_dataset_csv_phase_moves_by_at_most_one_ulp():
+    phases = np.deg2rad(np.arange(360.0))
+    ds = nl.TomographyDataset(phases=phases, values=np.zeros(phases.size))
+    got, _ = write_both(ds)
+    back = nl.read_dataset_csv(io.StringIO(got))
+    moved = back.phases != ds.phases
+    assert np.all(np.abs(back.phases - ds.phases) <= np.spacing(ds.phases))
+    assert moved.any()
+
+
+@pytest.mark.parametrize("phase", [-5e-324, -2.2e-308, -1e-16])
+def test_tiny_negative_phase_folds_to_zero(phase):
+    ds = nl.TomographyDataset(phases=[phase], values=[1.5])
+    assert ds.phases[0] == 0.0 and ds.values[0] == 1.5
+    again = nl.TomographyDataset(phases=ds.phases, values=ds.values)
+    assert again.phases[0] == 0.0 and again.values[0] == 1.5
+
+
+BLOCK = tomo._CSV_BLOCK
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1])
+def test_dataset_csv_block_boundaries(n):
+    rng = np.random.default_rng(n)
+    ds = nl.TomographyDataset(phases=rng.choice(tomo.DEFAULT_PHASES, n),
+                              values=rng.standard_normal(n))
+    got, ref = write_both(ds)
+    assert got == ref
+    assert got.count("\n") == n + 1
+    back = assert_reads_like_reference(got)
+    assert len(back) == n
+
+
+HEADER = "phase_deg,quadrature\n"
+
+
+@pytest.mark.parametrize("body", [
+    "0.0,1.5\r\n30.0,-2.0\r\n",
+    "0.0,1.5\n\n30.0,-2.0\n\n",
+    "0.0,1.5\n   \n\t\n30.0,-2.0\n",
+    "  0.0 , 1.5  \n30.0,\t-2.0\n",
+    "",
+    "\n \n",
+], ids=["crlf", "blank", "whitespace-only", "spaced-fields", "header-only", "blank-only"])
+def test_dataset_csv_accepts_what_the_reference_reads(body):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = assert_reads_like_reference(HEADER + body)
+    assert len(ds) == body.count(",")
+
+
+@pytest.mark.parametrize("body", ["nan,1.0\n", "0.0,inf\n", "0.0,1e999\n"])
+def test_dataset_csv_rejects_nonfinite_entries(body):
+    with pytest.raises(InvalidInputError):
+        nl.read_dataset_csv(io.StringIO(HEADER + body))
