@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
+import shutil
 import sys
 
 import numpy as np
@@ -348,16 +350,23 @@ def cmd_gate_noise(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse builds a HelpFormatter for every add_argument, and each one
+    # asks for the terminal width unless it is given; ask once per parser.
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="nlsqlab",
         description="Nonlinear-squeezing toolkit: state models, temporal modes, "
                     "tomography, and gate noise budgets.",
+        formatter_class=formatter,
     )
     parser.add_argument("--config", help="JSON file of option defaults "
                                          "(flags override file values)")
     parser.add_argument("--deg", action="store_true",
                         help="interpret angle arguments as degrees")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
 
     sp = sub.add_parser("nlsq", help="nonlinear squeezing of one state")
     _add_state_options(sp)

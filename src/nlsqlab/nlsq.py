@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import minimize
 
 from .errors import DimensionError, InvalidInputError, NumericalError
 from .fock import (QuantumState, apply_loss, loss_adjoint, make_superposition,
@@ -254,6 +253,8 @@ def _optimal_ancilla(max_photon: int, kappa: float, order: int,
     not be convex in (lambda, m): every local minimum of a grid is refined
     by Nelder-Mead in (log lambda, m) and the lowest refinement wins.
     """
+    from scipy.optimize import minimize
+
     blocks = _moment_blocks(max_photon + 1, order)
     if loss is not None:
         blocks = tuple(loss_adjoint(b, loss) for b in blocks)

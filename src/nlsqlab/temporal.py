@@ -17,8 +17,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.optimize import minimize
 
 from .errors import (AmbiguityError, DegeneratePoleError, DimensionError,
                      InvalidInputError, NumericalError, TruncationError)
@@ -249,6 +247,8 @@ def _searched_rates(target: TemporalMode) -> tuple[float, float, float]:
     per design, and returns minus the squared overlap with the target.
     Raises NumericalError when the search cannot improve on its start.
     """
+    from scipy.optimize import minimize
+
     t, t0, dt = target.t, target.t0, target.dt
     tau_mean = float(np.sum((t0 - t) * target.samples ** 2) * dt)
     rate0 = 1.0 / max(tau_mean, 10.0 * dt)  # effective power decay rate
@@ -387,6 +387,8 @@ def pca_mode_estimate(traces: TraceSet, window=None) -> TemporalMode:
     The centered traces and their product stay float32; only the two
     largest eigenpairs of the float64 covariance are computed.
     """
+    from scipy.linalg import eigh
+
     if traces.n_events < MIN_PCA_EVENTS:
         raise InvalidInputError(f"need at least {MIN_PCA_EVENTS} traces")
     lo, hi = (-math.inf, math.inf) if window is None else (float(window[0]), float(window[1]))

@@ -361,7 +361,8 @@ def read_dataset_csv(fh, source: str = "csv") -> TomographyDataset:
 
     CRLF endings, blank and whitespace-only lines and spaces around fields
     are accepted.  Degrees become radians through math.radians, once per
-    distinct phase.
+    distinct phase.  A row that is not two numeric fields raises
+    InvalidInputError naming its line (see _malformed_row).
     """
     header = fh.readline().strip()
     if header != "phase_deg,quadrature":
@@ -370,10 +371,33 @@ def read_dataset_csv(fh, source: str = "csv") -> TomographyDataset:
     first = next(lines, None)
     if first is None:  # header only; loadtxt would warn about an empty body
         return TomographyDataset(phases=np.empty(0), values=np.empty(0), source=source)
-    table = np.loadtxt(itertools.chain((first,), lines), delimiter=",", comments=None,
-                       ndmin=2)
-    if table.shape[1] != 2:
-        raise InvalidInputError(f"dataset rows need 2 fields, got {table.shape[1]}")
+    try:
+        table = np.loadtxt(itertools.chain((first,), lines), delimiter=",",
+                           comments=None, ndmin=2)
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] != 2:
+        raise InvalidInputError(_malformed_row(fh))
     degrees, index = np.unique(table[:, 0], return_inverse=True)
     radians = np.array([math.radians(d) for d in degrees.tolist()])
     return TomographyDataset(phases=radians[index], values=table[:, 1], source=source)
+
+
+def _malformed_row(fh) -> str:
+    """Message naming the first row that is not two numeric fields by its
+    line in the file (the header is line 1).  The stream is read again from
+    its start, so the search costs nothing until a file is rejected."""
+    if fh.seekable():
+        fh.seek(0)
+        next(fh)  # the header, checked already
+        for lineno, line in enumerate(fh, start=2):
+            row = line.strip()
+            if not row:
+                continue
+            try:
+                fields = np.loadtxt([row], delimiter=",", comments=None, ndmin=2).shape[1]
+            except ValueError:
+                fields = 0
+            if fields != 2:
+                return f"dataset line {lineno}: rows need two numeric fields"
+    return "dataset rows need two numeric fields"

@@ -1,4 +1,7 @@
+import argparse
 import json
+import os
+import pathlib
 import struct
 import subprocess
 import sys
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 
 import nlsqlab as nl
-from nlsqlab.cli import main
+from nlsqlab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -248,12 +251,13 @@ def test_sample_reconstruct_chain(tmp_path, capsys):
     assert nl.fidelity(state, truth) > 0.98
 
 
-@pytest.mark.parametrize("body", [
-    "", "0.0\n", "0.0,1.0,2.0\n", "0.0,1.0\n30.0\n", "zero,1.0\n", "0.0,\n",
-    "nan,1.0\n", "0.0,inf\n", "1_0,1.0\n",
+@pytest.mark.parametrize("body, line", [
+    ("", None), ("0.0\n", 2), ("0.0,1.0,2.0\n", 2), ("0.0,1.0\n30.0\n", 3),
+    ("zero,1.0\n", 2), ("0.0,\n", 2), ("nan,1.0\n", None), ("0.0,inf\n", None),
+    ("1_0,1.0\n", 2), ("0.0,1.0\n\nzero,1.0\n", 4), ("0.0,1.0\r\n \r\n30.0,\r\n", 4),
 ], ids=["header-only", "one-field", "three-fields", "short-row", "text", "empty-field",
-        "nan", "inf", "digit-separator"])
-def test_reconstruct_rejects_malformed_dataset(tmp_path, capsys, body):
+        "nan", "inf", "digit-separator", "text-after-blank", "crlf-empty-field"])
+def test_reconstruct_rejects_malformed_dataset(tmp_path, capsys, body, line):
     data = tmp_path / "data.csv"
     data.write_text("phase_deg,quadrature\n" + body)
     with warnings.catch_warnings():
@@ -262,6 +266,10 @@ def test_reconstruct_rejects_malformed_dataset(tmp_path, capsys, body):
     assert code == 2
     assert out == ""
     assert err.splitlines()[-1].startswith("error:")
+    assert "usecols" not in err
+    if line is not None:  # the file line, counting the header as line 1
+        assert err.splitlines()[-1] == (
+            f"error: dataset line {line}: rows need two numeric fields")
 
 
 def test_herald_outputs_state_json(capsys):
@@ -412,3 +420,55 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ratio"] == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# start-up cost and help text
+# ---------------------------------------------------------------------------
+
+#: Runs in a fresh interpreter: the scipy subpackages that only the ancilla
+#: search, the one-search filter design and PCA use are loaded by the
+#: commands that call them and by no other.
+IMPORT_GUARD = """
+import sys
+from nlsqlab import cli
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules]
+
+assert loaded() == [], loaded()
+for argv in (["pipeline", "--n-per-phase", "300"],
+             ["sample", "--fock", "1", "--n-per-phase", "300", "--out", "data.csv"],
+             ["reconstruct", "--in", "data.csv"],
+             ["traces", "--fock", "1", "--events", "1000", "--out", "t.bin"],
+             ["nlsq", "--fock", "1"], ["sweep", "--theta-steps", "3"], ["gate-noise"]):
+    assert cli.main(argv) == 0, argv
+    assert loaded() == [], (argv, loaded())
+assert cli.main(["pca", "--in", "t.bin", "--window-ns=-30,0"]) == 0
+assert loaded() == ["scipy.linalg"], loaded()
+assert cli.main(["optimize", "--max-photon", "1"]) == 0
+assert loaded() == ["scipy.optimize", "scipy.linalg"], loaded()
+"""
+
+
+def test_scipy_optimize_and_linalg_load_only_where_called(tmp_path):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["optimize", "--help"]],
+                         ids=["top", "optimize"])
+@pytest.mark.parametrize("columns", ["60", "200"])
+def test_help_text_follows_terminal_width(monkeypatch, capsys, argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # the same parsers with argparse's own formatter, which looks the width up
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    for p in (parser, *sub.choices.values()):
+        p.formatter_class = argparse.HelpFormatter
+    assert out == (sub.choices[argv[0]] if len(argv) == 2 else parser).format_help()

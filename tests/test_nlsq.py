@@ -386,16 +386,16 @@ def test_optimize_pinned_ratios(max_photon, loss, order, expected):
 
 def test_optimize_refines_once_at_full_loss(monkeypatch):
     # full loss flattens every grid row; one refinement serves them all
-    from nlsqlab import nlsq
+    import scipy.optimize
 
     calls = []
-    minimize = nlsq.minimize
+    minimize = scipy.optimize.minimize
 
     def counting_minimize(*args, **kwargs):
         calls.append(args)
         return minimize(*args, **kwargs)
 
-    monkeypatch.setattr(nlsq, "minimize", counting_minimize)
+    monkeypatch.setattr(scipy.optimize, "minimize", counting_minimize)
     res = nl.optimize_coefficients(2, loss=1.0)[1]
     assert len(calls) == 1
     assert res.ratio == pytest.approx(1.0, abs=1e-12)

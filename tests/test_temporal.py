@@ -5,6 +5,8 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 
 import nlsqlab as nl
 from nlsqlab import temporal, tomo
@@ -192,7 +194,7 @@ def test_composite_target_needs_no_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("composite targets are matched exactly")
 
-    monkeypatch.setattr(temporal, "minimize", no_search)
+    monkeypatch.setattr(scipy.optimize, "minimize", no_search)
     gammas = (9e8, 2e8, 5e8)
     filt = nl.design_matched_filter(nl.composite_mode(gammas, 0.0, nl.default_grid()))
     assert filt.poles == (1e8, 2.5e8, 4.5e8)
@@ -224,14 +226,14 @@ SEARCHED_TARGETS = [
                               "pca-30ns", "pca-60ns"])
 def test_searched_filter_takes_one_search(monkeypatch, make_target, overlap):
     target = make_target()
-    search = temporal.minimize
+    search = scipy.optimize.minimize
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(temporal, "minimize", counting)
+    monkeypatch.setattr(scipy.optimize, "minimize", counting)
     filt = nl.design_matched_filter(target)
     assert len(calls) == 1
     assert filt.overlap == pytest.approx(overlap, abs=1e-12)
@@ -456,7 +458,7 @@ def photon_traces():
 
 @pytest.mark.parametrize("window", [None, (-30e-9, 0.0)], ids=["full", "30ns"])
 def test_pca_top_two_eigenpairs_match_full_eigh(monkeypatch, photon_traces, window):
-    real = temporal.eigh
+    real = scipy.linalg.eigh
     seen = []
 
     def recording(cov, **kwargs):
@@ -464,7 +466,7 @@ def test_pca_top_two_eigenpairs_match_full_eigh(monkeypatch, photon_traces, wind
         seen.append((cov.copy(), result))
         return result
 
-    monkeypatch.setattr(temporal, "eigh", recording)
+    monkeypatch.setattr(scipy.linalg, "eigh", recording)
     est = nl.pca_mode_estimate(photon_traces, window=window)
     (cov, ((mu2, mu1), _)), = seen
     assert cov.dtype == np.float64
@@ -483,12 +485,12 @@ def test_pca_top_two_eigenpairs_match_full_eigh(monkeypatch, photon_traces, wind
     (2.0, 1.0, False), (2.0 - 1e-9, 1.0, True), (1.0, -3.0, False),
     (0.0, -1.0, True), (-1.0, -2.0, True)])
 def test_pca_ambiguity_threshold(monkeypatch, photon_traces, mu1, mu2, ambiguous):
-    real = temporal.eigh
+    real = scipy.linalg.eigh
 
     def fixed_values(cov, **kwargs):
         return np.array([mu2, mu1]), real(cov, **kwargs)[1]
 
-    monkeypatch.setattr(temporal, "eigh", fixed_values)
+    monkeypatch.setattr(scipy.linalg, "eigh", fixed_values)
     if ambiguous:
         with pytest.raises(AmbiguityError):
             nl.pca_mode_estimate(photon_traces, window=(-30e-9, 0.0))
