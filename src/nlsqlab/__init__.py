@@ -6,11 +6,9 @@ tomography, and the noise budget of the measurement-based cubic phase gate.
 from .errors import (AmbiguityError, DegeneratePoleError, DimensionError,
                      InvalidInputError, NumericalError, TruncationError)
 from .fock import (FockOperator, QuantumState, apply_loss, coherent_state,
-                   displace, displacement_matrix, fidelity, fock_state,
-                   make_superposition, moment, quadrature_ops, squeeze,
-                   squeezed_vacuum, squeezing_matrix,
-                   state_from_json, state_to_json, vacuum, wigner,
-                   wigner_to_csv)
+                   displace, fidelity, fock_state, make_superposition, moment,
+                   quadrature_ops, squeezed_vacuum, state_from_json,
+                   state_to_json, vacuum, wigner, wigner_to_csv)
 from .gate import GateNoiseReport, ModeMoments, ancilla_noise_variance, propagate, required_ancilla_db
 from .genmodel import (FitResult, GenerationParams, count_rate_ratio, fit_phi_L,
                        herald, rho_theta_phi_L, write_fit_sweep_csv)

@@ -318,8 +318,7 @@ def cmd_pipeline(args) -> int:
                                       seed=args.seed + 1)
         corr = temporal.realtime_vs_postprocess(ts, filt, mode)
         q_rt = temporal.mode_quadratures(ts, filt.response)
-        rt_ds = tomo.TomographyDataset(phases=ts.phases, values=q_rt,
-                                       source="real-time filter output")
+        rt_ds = tomo.TomographyDataset(phases=ts.phases, values=q_rt)
         rt_mle = tomo.mle_reconstruct(rt_ds, dim=dim)
         rt_result = nlsq.optimal_nonlinear_variance(rt_mle.state, kappa, order)
         report["realtime"] = {

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionError, InvalidInputError, NumericalError, TruncationError
 
@@ -22,6 +21,14 @@ PSD_TOL = 1e-10
 DEFAULT_DIM = 20
 #: Minimum cutoff for which fourth powers of x are exact on 0/1-photon states.
 MIN_TWO_LEVEL_DIM = 6
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log(k!) for k < n.  scipy.special is imported here, so a command that
+    builds no such state never loads it."""
+    from scipy.special import gammaln
+
+    return gammaln(np.arange(n) + 1.0)
 
 
 def _square_complex(matrix, dim: int) -> np.ndarray:
@@ -119,17 +126,18 @@ def coherent_state(alpha: complex, dim: int = DEFAULT_DIM) -> QuantumState:
     n = np.arange(dim)
     with np.errstate(divide="ignore"):
         logmag = n * np.log(np.abs(alpha)) if alpha != 0 else np.where(n == 0, 0.0, -np.inf)
-    amps = np.exp(logmag - gammaln(n + 1) / 2.0) * np.exp(1j * n * np.angle(alpha))
+    amps = np.exp(logmag - _log_factorials(dim) / 2.0) * np.exp(1j * n * np.angle(alpha))
     return make_superposition(amps, dim)
 
 
 def squeezed_vacuum(r: float, dim: int) -> QuantumState:
     """Squeezed vacuum with Var(x) = exp(-2r)/2, truncated and renormalized."""
     n_pairs = np.arange((dim + 1) // 2)
+    lf = _log_factorials(dim)
     th = np.tanh(r)
     with np.errstate(divide="ignore"):
         logmag = n_pairs * np.log(np.abs(th)) if th != 0 else np.where(n_pairs == 0, 0.0, -np.inf)
-    logmag = logmag + 0.5 * gammaln(2 * n_pairs + 1) - n_pairs * np.log(2.0) - gammaln(n_pairs + 1)
+    logmag = logmag + 0.5 * lf[2 * n_pairs] - n_pairs * np.log(2.0) - lf[n_pairs]
     amps = np.zeros(dim)
     amps[2 * n_pairs] = np.sign(-th) ** n_pairs * np.exp(logmag)
     return make_superposition(amps, dim)
@@ -163,7 +171,7 @@ def _loss_kraus_weights(dim: int, loss: float):
     if not 0.0 <= loss <= 1.0:
         raise InvalidInputError(f"loss fraction must lie in [0, 1], got {loss}")
     eta = 1.0 - loss
-    lg = gammaln(np.arange(dim) + 1.0)
+    lg = _log_factorials(dim)
     for k in range(dim):
         ns = np.arange(k, dim)
         comb = np.exp(lg[ns] - lg[ns - k] - lg[k])
@@ -209,7 +217,7 @@ def _displacement_tensor(dim: int, alphas: np.ndarray) -> np.ndarray:
     npts = alphas.size
     r = np.abs(alphas) ** 2
     env = np.exp(-r / 2.0)
-    lg = gammaln(np.arange(dim) + 1.0)
+    lg = _log_factorials(dim)
     out = np.zeros((npts, dim, dim), dtype=complex)
     apow = np.ones(npts, dtype=complex)       # alpha**k
     bpow = np.ones(npts, dtype=complex)       # (-conj(alpha))**k
@@ -228,53 +236,19 @@ def _displacement_tensor(dim: int, alphas: np.ndarray) -> np.ndarray:
     return out
 
 
-def displacement_matrix(dim: int, alpha: complex) -> FockOperator:
-    """Displacement operator D(alpha) truncated at the cutoff."""
-    return FockOperator(dim, _displacement_tensor(dim, np.array([alpha]))[0])
-
-
-def _within_cutoff(state: QuantumState, u: np.ndarray, what: str) -> QuantumState:
-    """u rho u^dag for u the top-left block of a unitary: raises
-    TruncationError when more than TRACE_TOL of the population leaves the
-    cutoff."""
-    out = u @ state.matrix @ u.conj().T
-    leaked = 1.0 - float(out.trace().real)
-    if leaked > TRACE_TOL:
-        raise TruncationError(f"{what} leaks population {leaked:.3e} above the "
-                              f"cutoff dim={state.dim}; enlarge the cutoff")
-    return QuantumState(state.dim, out)
-
-
 def displace(state: QuantumState, alpha: complex) -> QuantumState:
     """Displace a state; <x> shifts by sqrt(2) Re(alpha), <p> by sqrt(2) Im(alpha).
 
     The truncated displacement leaks population above the cutoff for large
     |alpha|; a leak above TRACE_TOL raises TruncationError.
     """
-    d = displacement_matrix(state.dim, alpha).matrix
-    return _within_cutoff(state, d, f"displacement by {alpha}")
-
-
-def squeezing_matrix(dim: int, r: float) -> FockOperator:
-    """Squeezing operator with x -> x e^{-r}, p -> p e^{r}, truncated."""
-    from scipy.linalg import expm
-
-    a = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
-    return FockOperator(dim, expm((r / 2.0) * (a @ a - a.conj().T @ a.conj().T)))
-
-
-def squeeze(state: QuantumState, r: float) -> QuantumState:
-    """Squeeze a state: Var(x) scales by e^{-2r} (for r > 0).
-
-    The truncated squeezing operator is unitary on its own cutoff, so it
-    would fold population back below the cutoff instead of losing it.  The
-    operator is therefore built on twice the cutoff and cut to its top-left
-    block; as in displace(), a leak above TRACE_TOL raises TruncationError.
-    The leak it names is exact while the squeezed state fits in twice the
-    cutoff.
-    """
-    s = squeezing_matrix(2 * state.dim, r).matrix[:state.dim, :state.dim]
-    return _within_cutoff(state, s, f"squeezing by r={r}")
+    d = _displacement_tensor(state.dim, [alpha])[0]
+    out = d @ state.matrix @ d.conj().T
+    leaked = 1.0 - float(out.trace().real)
+    if leaked > TRACE_TOL:
+        raise TruncationError(f"displacement by {alpha} leaks population {leaked:.3e} "
+                              f"above the cutoff dim={state.dim}; enlarge the cutoff")
+    return QuantumState(state.dim, out)
 
 
 def wigner(state: QuantumState, xs, ps) -> np.ndarray:

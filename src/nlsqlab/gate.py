@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidInputError
-from .fock import QuantumState
-from .nlsq import (Moments, _moment_blocks, _real_trace, optimize_coefficients,
-                   vacuum_optimum, variance_from_moments)
+from .fock import QuantumState, moment, quadrature_ops
+from .nlsq import (Moments, noise_moments, optimize_coefficients, vacuum_optimum,
+                   variance_from_moments)
 
 UNCERTAINTY_SLACK = 1e-9
 
@@ -64,15 +64,11 @@ class ModeMoments:
 
     @classmethod
     def from_state(cls, state: QuantumState) -> "ModeMoments":
-        # The order-3 blocks of the nlsq layer are p, p^2, x^2, x^4 and
-        # {p, x^2}/2; x^(N-1) at N = 2 is x itself.  Both carry the padding
-        # that keeps the moments exact for any support.
-        bp, bp2, bx2, bx4, bsym = _moment_blocks(state.dim, 3)
-        bx = _moment_blocks(state.dim, 2)[2]
-        rho = state.matrix
-        return cls(mean_x=_real_trace(rho, bx), mean_p=_real_trace(rho, bp),
-                   x2=_real_trace(rho, bx2), p2=_real_trace(rho, bp2),
-                   x4=_real_trace(rho, bx4), sym_px2=_real_trace(rho, bsym))
+        # The order-3 noise moments are those of p, p^2, x^2, x^4 and
+        # {p, x^2}/2, exact at any cutoff; <x> needs no headroom.
+        mom = noise_moments(state, 3)
+        return cls(mean_x=moment(state, quadrature_ops(state.dim)[0]), mean_p=mom.p,
+                   x2=mom.xn, p2=mom.p2, x4=mom.xn2, sym_px2=mom.sym)
 
 
 @dataclass(frozen=True)

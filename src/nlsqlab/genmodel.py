@@ -182,12 +182,12 @@ def count_rate_ratio(theta: float) -> float:
     return 1.0 / s2
 
 
-def write_fit_sweep_csv(rows, fh, unwrap: bool = True) -> None:
-    """CSV rows `theta_rad,phi_fit,L_fit,residual`; optionally unwrap the
-    fitted phase for branch continuity across the sweep."""
+def write_fit_sweep_csv(rows, fh) -> None:
+    """CSV rows `theta_rad,phi_fit,L_fit,residual`, the fitted phase
+    unwrapped for branch continuity across the sweep."""
     rows = [tuple(map(float, r)) for r in rows]
     phis = [r[1] for r in rows]
-    if unwrap and len(phis) > 1:
+    if len(phis) > 1:
         phis = list(np.unwrap(phis))
     fh.write("theta_rad,phi_fit,L_fit,residual\n")
     for (theta, _, loss, residual), phi in zip(rows, phis):

@@ -315,8 +315,7 @@ def _optimal_ancilla(max_photon: int, kappa: float, order: int,
 
 
 def optimize_coefficients(max_photon: int, kappa: float = 1.0, order: int = 3,
-                          loss: float | None = None, dim: int | None = None
-                          ) -> tuple[np.ndarray, NlsqResult]:
+                          loss: float | None = None) -> tuple[np.ndarray, NlsqResult]:
     """Unit-norm coefficients c_0..c_M minimizing the NLSQ ratio.
 
     Deterministic: the optimum is the lowest eigenvector of P (Y - m)^2 P
@@ -328,8 +327,7 @@ def optimize_coefficients(max_photon: int, kappa: float = 1.0, order: int = 3,
     _validate_order(order)
     if max_photon < 0:
         raise InvalidInputError("max photon number must be nonnegative")
-    if dim is None:
-        dim = max(max_photon + 1, _min_dim(order))
+    dim = max(max_photon + 1, _min_dim(order))
 
     def evaluate(coeffs) -> NlsqResult:
         state = make_superposition(coeffs, dim)
@@ -349,16 +347,14 @@ def optimize_coefficients(max_photon: int, kappa: float = 1.0, order: int = 3,
 # ---------------------------------------------------------------------------
 
 
-def sweep_rows(thetas, phi: float, losses, kappa: float = 1.0, order: int = 3,
-               dim: int | None = None) -> list[tuple]:
+def sweep_rows(thetas, phi: float, losses, kappa: float = 1.0, order: int = 3) -> list[tuple]:
     """NLSQ of the 0/1-superposition model across theta for each loss value.
 
     Rows are (theta_rad, phi_rad, loss, ratio, db, lambda_opt).
     """
     from .genmodel import GenerationParams, rho_theta_phi_L
 
-    if dim is None:
-        dim = _min_dim(order)
+    dim = _min_dim(order)
     rows = []
     for loss in losses:
         for theta in thetas:

@@ -79,8 +79,6 @@ class TomographyDataset:
 
     phases: np.ndarray
     values: np.ndarray
-    seed: int | None = None
-    source: str = ""
 
     def __post_init__(self):
         phases = np.asarray(self.phases, dtype=float).ravel()
@@ -131,8 +129,7 @@ def sample_values(state: QuantumState, phase: float, n: int,
 
 
 def sample(state: QuantumState, phases=DEFAULT_PHASES,
-           n_per_phase: int = DEFAULT_EVENTS_PER_PHASE, seed: int = 0,
-           source: str = "sampler") -> TomographyDataset:
+           n_per_phase: int = DEFAULT_EVENTS_PER_PHASE, seed: int = 0) -> TomographyDataset:
     """Draw n_per_phase quadratures at each LO phase; deterministic per seed.
 
     Each phase consumes an independent child stream of the master seed, so
@@ -148,12 +145,8 @@ def sample(state: QuantumState, phases=DEFAULT_PHASES,
         rng = np.random.default_rng(child)
         all_phases.append(np.full(n_per_phase, phase))
         all_values.append(sample_values(state, phase, n_per_phase, rng))
-    return TomographyDataset(
-        phases=np.concatenate(all_phases),
-        values=np.concatenate(all_values),
-        seed=seed,
-        source=source,
-    )
+    return TomographyDataset(phases=np.concatenate(all_phases),
+                             values=np.concatenate(all_values))
 
 
 # ---------------------------------------------------------------------------
@@ -305,22 +298,20 @@ class BootstrapErrors:
 
 
 def bootstrap_error(data: TomographyDataset, dim: int = 5, n_resamples: int = 50,
-                    seed: int = 0, kappa: float = 1.0, order: int = 3,
-                    max_iters: int = MLE_MAX_ITERS, tol: float = MLE_TOL,
-                    n_bins: int = MLE_BINS, support=MLE_SUPPORT,
-                    subdiv: int = MLE_SUBDIV) -> BootstrapErrors:
+                    seed: int = 0, kappa: float = 1.0, order: int = 3) -> BootstrapErrors:
     """Nonparametric bootstrap (stratified per phase) of the reconstruction.
 
     Returns the standard deviation, across resamples, of the NLSQ dB value
     and of every density-matrix entry (elementwise absolute deviation).
     The data are binned once; a resample only recounts the cells of the
-    samples it draws, and is reconstructed as `mle_reconstruct` would.
+    samples it draws, and is reconstructed as `mle_reconstruct` would with
+    its default binning and stopping rule.
     """
     from .nlsq import nlsq_db
 
     if n_resamples < 2:
         raise InvalidInputError("need at least 2 resamples")
-    P, cell = _binned(data, dim, n_bins, support, subdiv)
+    P, cell = _binned(data, dim, MLE_BINS, MLE_SUPPORT, MLE_SUBDIV)
     rng = np.random.default_rng(seed)
     groups = [np.flatnonzero(data.phases == p) for p in data.unique_phases()]
     dbs = []
@@ -328,7 +319,7 @@ def bootstrap_error(data: TomographyDataset, dim: int = 5, n_resamples: int = 50
     for _ in range(n_resamples):
         picked = cell[np.concatenate([g[rng.integers(0, g.size, g.size)] for g in groups])]
         counts = np.bincount(picked[picked >= 0], minlength=len(P))
-        state = QuantumState(dim, _iterate(P, counts, dim, max_iters, tol)[0])
+        state = QuantumState(dim, _iterate(P, counts, dim, MLE_MAX_ITERS, MLE_TOL)[0])
         dbs.append(nlsq_db(state, kappa, order))
         rhos.append(state.matrix)
     rhos = np.asarray(rhos)
@@ -356,13 +347,14 @@ def write_dataset_csv(data: TomographyDataset, fh) -> None:
         fh.write("\n".join(map(operator.concat, prefix[index[rows]].tolist(), values)) + "\n")
 
 
-def read_dataset_csv(fh, source: str = "csv") -> TomographyDataset:
+def read_dataset_csv(fh) -> TomographyDataset:
     """Parse a dataset CSV with numpy's C reader.
 
     CRLF endings, blank and whitespace-only lines and spaces around fields
     are accepted.  Degrees become radians through math.radians, once per
     distinct phase.  A row that is not two numeric fields raises
-    InvalidInputError naming its line (see _malformed_row).
+    InvalidInputError naming its line (see _malformed_row), and so does a
+    row holding NaN or infinity.
     """
     header = fh.readline().strip()
     if header != "phase_deg,quadrature":
@@ -370,23 +362,24 @@ def read_dataset_csv(fh, source: str = "csv") -> TomographyDataset:
     lines = filter(None, map(str.strip, fh))
     first = next(lines, None)
     if first is None:  # header only; loadtxt would warn about an empty body
-        return TomographyDataset(phases=np.empty(0), values=np.empty(0), source=source)
+        return TomographyDataset(phases=np.empty(0), values=np.empty(0))
     try:
         table = np.loadtxt(itertools.chain((first,), lines), delimiter=",",
                            comments=None, ndmin=2)
     except ValueError:
         table = None
-    if table is None or table.shape[1] != 2:
+    if table is None or table.shape[1] != 2 or not np.isfinite(table).all():
         raise InvalidInputError(_malformed_row(fh))
     degrees, index = np.unique(table[:, 0], return_inverse=True)
     radians = np.array([math.radians(d) for d in degrees.tolist()])
-    return TomographyDataset(phases=radians[index], values=table[:, 1], source=source)
+    return TomographyDataset(phases=radians[index], values=table[:, 1])
 
 
 def _malformed_row(fh) -> str:
-    """Message naming the first row that is not two numeric fields by its
-    line in the file (the header is line 1).  The stream is read again from
-    its start, so the search costs nothing until a file is rejected."""
+    """Message naming the first row that is not two numeric fields, NaN and
+    infinity counting as not numeric, by its line in the file (the header is
+    line 1).  The stream is read again from its start, so the search costs
+    nothing until a file is rejected."""
     if fh.seekable():
         fh.seek(0)
         next(fh)  # the header, checked already
@@ -395,9 +388,9 @@ def _malformed_row(fh) -> str:
             if not row:
                 continue
             try:
-                fields = np.loadtxt([row], delimiter=",", comments=None, ndmin=2).shape[1]
+                parsed = np.loadtxt([row], delimiter=",", comments=None, ndmin=2)
             except ValueError:
-                fields = 0
-            if fields != 2:
+                parsed = None
+            if parsed is None or parsed.shape[1] != 2 or not np.isfinite(parsed).all():
                 return f"dataset line {lineno}: rows need two numeric fields"
     return "dataset rows need two numeric fields"

@@ -218,15 +218,6 @@ def coherent_tail(alpha: complex, dim: int) -> float:
     return 1.0 - sum(math.exp(-mean) * mean ** n / math.factorial(n) for n in range(dim))
 
 
-def squeezed_vacuum_tail(r: float, dim: int) -> float:
-    """Population of levels >= dim in the squeezed vacuum S(r)|0>:
-    P(2m) = (2m)! / (2^m m!)^2 tanh(r)^(2m) / cosh(r)."""
-    t2 = math.tanh(r) ** 2
-    kept = sum(math.factorial(2 * m) / (2 ** m * math.factorial(m)) ** 2 * t2 ** m
-               for m in range((dim + 1) // 2))
-    return 1.0 - kept / math.cosh(r)
-
-
 # --- dataset CSV, one row at a time -------------------------------------------
 
 def write_dataset_csv_rows(phases, values, fh):

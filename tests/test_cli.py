@@ -253,7 +253,7 @@ def test_sample_reconstruct_chain(tmp_path, capsys):
 
 @pytest.mark.parametrize("body, line", [
     ("", None), ("0.0\n", 2), ("0.0,1.0,2.0\n", 2), ("0.0,1.0\n30.0\n", 3),
-    ("zero,1.0\n", 2), ("0.0,\n", 2), ("nan,1.0\n", None), ("0.0,inf\n", None),
+    ("zero,1.0\n", 2), ("0.0,\n", 2), ("nan,1.0\n", 2), ("0.0,inf\n", 2),
     ("1_0,1.0\n", 2), ("0.0,1.0\n\nzero,1.0\n", 4), ("0.0,1.0\r\n \r\n30.0,\r\n", 4),
 ], ids=["header-only", "one-field", "three-fields", "short-row", "text", "empty-field",
         "nan", "inf", "digit-separator", "text-after-blank", "crlf-empty-field"])
@@ -320,6 +320,15 @@ def test_gate_noise_specs(capsys):
     code, out, _ = run_cli(capsys, "gate-noise", "--input", "rho:1.0,4.0,0.2",
                            "--ancilla", "fock:1", "--sqz-var", "0")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [["nlsq", "--vacuum"], ["gate-noise", "--ancilla", "vacuum"]],
+                         ids=["nlsq", "gate-noise"])
+def test_one_level_cutoff_is_a_usage_error(capsys, argv):
+    # both commands take their moments from nlsq.noise_moments
+    code, out, err = run_cli(capsys, *argv, "--dim", "1")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: state cutoff 1 too small; need at least 2"
 
 
 def test_optimize_command(capsys):
@@ -434,9 +443,9 @@ import sys
 from nlsqlab import cli
 
 def loaded():
-    return [m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules]
+    return [m for m in ("scipy.special", "scipy.optimize", "scipy.linalg") if m in sys.modules]
 
-assert loaded() == [], loaded()
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 for argv in (["pipeline", "--n-per-phase", "300"],
              ["sample", "--fock", "1", "--n-per-phase", "300", "--out", "data.csv"],
              ["reconstruct", "--in", "data.csv"],
@@ -446,8 +455,10 @@ for argv in (["pipeline", "--n-per-phase", "300"],
     assert loaded() == [], (argv, loaded())
 assert cli.main(["pca", "--in", "t.bin", "--window-ns=-30,0"]) == 0
 assert loaded() == ["scipy.linalg"], loaded()
+assert cli.main(["nlsq", "--fock", "1", "--loss", "0.1"]) == 0
+assert loaded() == ["scipy.special", "scipy.linalg"], loaded()
 assert cli.main(["optimize", "--max-photon", "1"]) == 0
-assert loaded() == ["scipy.optimize", "scipy.linalg"], loaded()
+assert loaded() == ["scipy.special", "scipy.optimize", "scipy.linalg"], loaded()
 """
 
 

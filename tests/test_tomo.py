@@ -308,7 +308,7 @@ def test_bootstrap_error_matches_reported_scale():
     assert 0.004 < errs.db < 0.4  # order of the reported +-0.04 dB
 
 
-def bootstrap_einsum(data, dim, n_resamples, seed, **binning):
+def bootstrap_einsum(data, dim, n_resamples, seed):
     """Resample into a TomographyDataset and reconstruct with the einsum
     reference; returns the dB and density-matrix errors."""
     rng = np.random.default_rng(seed)
@@ -317,7 +317,7 @@ def bootstrap_einsum(data, dim, n_resamples, seed, **binning):
     for _ in range(n_resamples):
         idx = np.concatenate([g[rng.integers(0, g.size, g.size)] for g in groups])
         resampled = nl.TomographyDataset(phases=data.phases[idx], values=data.values[idx])
-        rho = oracles.mle_einsum(resampled.phases, resampled.values, dim, **binning)[0]
+        rho = oracles.mle_einsum(resampled.phases, resampled.values, dim)[0]
         state = nl.QuantumState(dim, rho)
         dbs.append(nl.nlsq_db(state, 1.0, 3))
         rhos.append(state.matrix)
@@ -325,11 +325,10 @@ def bootstrap_einsum(data, dim, n_resamples, seed, **binning):
     return np.std(dbs), np.sqrt(np.mean(np.abs(rhos - rhos.mean(axis=0)) ** 2, axis=0))
 
 
-@pytest.mark.parametrize("binning", [{}, {"n_bins": 128}])
-def test_bootstrap_matches_einsum_reference(binning):
-    ds = edge_dataset(2000, **binning)
-    got = nl.bootstrap_error(ds, dim=5, n_resamples=4, seed=2, **binning)
-    db, rho = bootstrap_einsum(ds, 5, 4, 2, **binning)
+def test_bootstrap_matches_einsum_reference():
+    ds = edge_dataset(2000)
+    got = nl.bootstrap_error(ds, dim=5, n_resamples=4, seed=2)
+    db, rho = bootstrap_einsum(ds, 5, 4, 2)
     assert abs(got.db - db) <= 1e-12
     assert np.abs(got.rho - rho).max() <= 1e-12
 
