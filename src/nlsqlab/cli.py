@@ -316,8 +316,11 @@ def cmd_pipeline(args) -> int:
         ts = temporal.simulate_traces(truth, mode, n_events,
                                       np.repeat(phases, args.trace_events),
                                       seed=args.seed + 1)
-        corr = temporal.realtime_vs_postprocess(ts, filt, mode)
+        # realtime_vs_postprocess would project the traces onto the filter
+        # response a second time; the reconstruction below needs q_rt too.
         q_rt = temporal.mode_quadratures(ts, filt.response)
+        corr = temporal._correlations_by_phase(
+            ts.phases, temporal.mode_quadratures(ts, mode), q_rt)
         rt_ds = tomo.TomographyDataset(phases=ts.phases, values=q_rt)
         rt_mle = tomo.mle_reconstruct(rt_ds, dim=dim)
         rt_result = nlsq.optimal_nonlinear_variance(rt_mle.state, kappa, order)

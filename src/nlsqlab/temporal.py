@@ -39,6 +39,12 @@ MIN_PCA_EVENTS = 1000
 #: Trace rows that simulation and projection handle at a time in float64;
 #: one block (1 MB on the default grid) stays in cache between its steps.
 _CHUNK = 128
+#: PCA's block Lanczos: the residual bar, relative to the largest |Ritz
+#: value|; how many blocks it adds between residual tests; and how many
+#: blocks it adds before it gives up with NumericalError.
+_LANCZOS_TOL = 1e-8
+_LANCZOS_CHECK_EVERY = 8
+_LANCZOS_MAX_STEPS = 150
 
 
 def gamma_from_hwhm(hwhm_hz: float) -> float:
@@ -385,10 +391,10 @@ def pca_mode_estimate(traces: TraceSet, window=None) -> TemporalMode:
     (estimation error grows with the number of analyzed bins, so localizing
     around the herald helps); outside bins enter the returned mode as zeros.
     The centered traces and their product stay float32; only the two
-    largest eigenpairs of the float64 covariance are computed.
+    largest eigenpairs of the float64 covariance are computed, by block
+    Lanczos (`_top_two_eigenpairs`), which raises NumericalError when it does
+    not converge.
     """
-    from scipy.linalg import eigh
-
     if traces.n_events < MIN_PCA_EVENTS:
         raise InvalidInputError(f"need at least {MIN_PCA_EVENTS} traces")
     lo, hi = (-math.inf, math.inf) if window is None else (float(window[0]), float(window[1]))
@@ -405,7 +411,7 @@ def pca_mode_estimate(traces: TraceSet, window=None) -> TemporalMode:
     del x  # free the centered copy before the eigensolver runs
     n = stop - first
     cov[np.diag_indices(n)] -= 1.0 / (2.0 * traces.dt)
-    (mu2, mu1), vecs = eigh(cov, subset_by_index=[n - 2, n - 1])
+    (mu2, mu1), vecs = _top_two_eigenpairs(cov)
     if mu1 <= 0 or mu1 < 2.0 * max(mu2, 0.0):
         raise AmbiguityError(
             f"leading covariance eigenvalue {mu1:.3e} is not separated from "
@@ -416,6 +422,70 @@ def pca_mode_estimate(traces: TraceSet, window=None) -> TemporalMode:
     if full[np.argmax(np.abs(full))] < 0:
         full = -full
     return TemporalMode((), (), float(traces.t[stop - 1]), traces.t, full)
+
+
+def _top_two_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two largest eigenvalues of the symmetric matrix `cov`, ascending,
+    and their unit eigenvectors as columns.
+
+    Block Lanczos with blocks of two vectors (Golub & Van Loan, *Matrix
+    Computations*, ch. 10).  A block of two spans both copies of a repeated
+    top eigenvalue, which one start vector reaches only through round-off.
+    The start block is fixed, so equal input gives equal bytes.  Each new
+    block is orthogonalised twice against every earlier vector, and a new
+    direction that a further pass halves is dropped as round-off inside the
+    span ("twice is enough": Parlett, *The Symmetric Eigenvalue Problem*,
+    ch. 6).  Every _LANCZOS_CHECK_EVERY blocks, and whenever the basis
+    cannot grow, the residuals ||C y - theta y|| of the top two Ritz pairs,
+    read off the part of C times the last block that lies outside the
+    basis, are tested against _LANCZOS_TOL times the largest |Ritz value|;
+    the pairs are returned once both pass.  A basis that fills the space, or
+    an invariant subspace, makes them exact.  Once the basis holds
+    2 * _LANCZOS_MAX_STEPS vectors it raises NumericalError rather than
+    return an unconverged pair.
+    """
+    n = cov.shape[0]
+    size = min(n, 2 * _LANCZOS_MAX_STEPS)
+    basis = np.empty((size, n))  # orthonormal rows
+    proj = np.zeros((size, size))  # basis @ cov @ basis.T, block tridiagonal
+    start = np.random.default_rng(0).standard_normal((n, 2))
+    basis[:2] = np.linalg.qr(start)[0].T
+    lo, hi = 0, 2  # rows of the current block
+    step = 0
+    while True:
+        step += 1
+        w = basis[lo:hi] @ cov
+        diag = np.zeros((hi - lo, hi - lo))
+        for _ in range(2):
+            c = w @ basis[:hi].T
+            w -= c @ basis[:hi]
+            diag += c[:, lo:hi]
+        proj[lo:hi, lo:hi] = (diag + diag.T) / 2.0
+        # w is now the part of C times the block outside the basis.  Its
+        # directions, longest first, get one more pass; the first one that
+        # pass halves, and those after it, are dropped.
+        order = np.argsort(-np.linalg.norm(w, axis=1), kind="stable")
+        new = np.linalg.qr(w[order].T)[0].T
+        new -= (new @ basis[:hi].T) @ basis[:hi]
+        q, r = np.linalg.qr(new.T)
+        kept = np.cumprod(np.abs(np.diag(r)) > 0.5)
+        grow = min(int(kept.sum()), size - hi)
+        if grow == 0 or step % _LANCZOS_CHECK_EVERY == 0:
+            theta, s = np.linalg.eigh(proj[:hi, :hi])
+            residual = np.linalg.norm(s[lo:hi, -2:].T @ w, axis=1)
+            bar = _LANCZOS_TOL * max(-theta[0], theta[-1])
+            if np.all(residual <= bar):
+                return theta[-2:], basis[:hi].T @ s[:, -2:]
+            if grow == 0:
+                raise NumericalError(
+                    f"PCA eigensolver did not converge in {step} Lanczos steps: "
+                    f"residuals {residual[1]:.2e} and {residual[0]:.2e}, "
+                    f"bar {bar:.2e}")
+        basis[hi:hi + grow] = q.T[:grow]
+        coupling = basis[hi:hi + grow] @ w.T
+        proj[hi:hi + grow, lo:hi] = coupling
+        proj[lo:hi, hi:hi + grow] = coupling.T
+        lo, hi = hi, hi + grow
 
 
 def mode_quadratures(traces: TraceSet, mode: TemporalMode) -> np.ndarray:
@@ -435,11 +505,16 @@ def realtime_vs_postprocess(traces: TraceSet, filt, mode: TemporalMode) -> dict:
     """Pearson correlation, per LO phase, between the digital mode-weighted
     integral and the filtered signal sampled at the herald time."""
     response = filt.response if isinstance(filt, MatchedFilter) else filt
-    q_pp = mode_quadratures(traces, mode)
-    q_rt = mode_quadratures(traces, response)
+    return _correlations_by_phase(traces.phases, mode_quadratures(traces, mode),
+                                  mode_quadratures(traces, response))
+
+
+def _correlations_by_phase(phases: np.ndarray, q_pp: np.ndarray,
+                           q_rt: np.ndarray) -> dict:
+    """Pearson correlation of two quadrature arrays within each LO phase."""
     out = {}
-    for phase in np.unique(traces.phases):
-        idx = traces.phases == phase
+    for phase in np.unique(phases):
+        idx = phases == phase
         if idx.sum() < 2:
             raise InvalidInputError(f"phase bin {phase} has fewer than 2 traces")
         out[float(phase)] = float(np.corrcoef(q_pp[idx], q_rt[idx])[0, 1])

@@ -359,6 +359,21 @@ def test_pipeline_small_deterministic(tmp_path, capsys):
         assert r >= 0.98
 
 
+def test_pipeline_projects_each_weighting_once(monkeypatch, capsys):
+    calls = []
+    real = nl.temporal.mode_quadratures
+
+    def counting(traces, mode):
+        calls.append(mode)
+        return real(traces, mode)
+
+    monkeypatch.setattr(nl.temporal, "mode_quadratures", counting)
+    code, _, _ = run_cli(capsys, "pipeline", "--n-per-phase", "300",
+                         "--trace-events", "200")
+    assert code == 0
+    assert len(calls) == 2
+
+
 def test_pipeline_default_scale_accuracy(tmp_path, capsys):
     path = tmp_path / "full.json"
     code, _, _ = run_cli(capsys, "pipeline", "--seed", "5", "--trace-events",
@@ -435,9 +450,8 @@ def test_module_entry_point_runs():
 # start-up cost and help text
 # ---------------------------------------------------------------------------
 
-#: Runs in a fresh interpreter: the scipy subpackages that only the ancilla
-#: search, the one-search filter design and PCA use are loaded by the
-#: commands that call them and by no other.
+#: Runs in a fresh interpreter: scipy is loaded only by the two commands
+#: that run a search, the ancilla search and the one-search filter design.
 IMPORT_GUARD = """
 import sys
 from nlsqlab import cli
@@ -450,13 +464,16 @@ for argv in (["pipeline", "--n-per-phase", "300"],
              ["sample", "--fock", "1", "--n-per-phase", "300", "--out", "data.csv"],
              ["reconstruct", "--in", "data.csv"],
              ["traces", "--fock", "1", "--events", "1000", "--out", "t.bin"],
-             ["nlsq", "--fock", "1"], ["sweep", "--theta-steps", "3"], ["gate-noise"]):
+             ["traces", "--fock", "1", "--events", "1000", "--frame-ns", "40",
+              "--dt-ns", "0.4", "--out", "short.bin"],
+             ["pca", "--in", "short.bin"], ["pca", "--in", "t.bin", "--window-ns=-30,0"],
+             ["nlsq", "--fock", "1"], ["nlsq", "--fock", "1", "--loss", "0.1"],
+             ["sweep", "--theta-steps", "3"], ["gate-noise"]):
     assert cli.main(argv) == 0, argv
     assert loaded() == [], (argv, loaded())
-assert cli.main(["pca", "--in", "t.bin", "--window-ns=-30,0"]) == 0
-assert loaded() == ["scipy.linalg"], loaded()
-assert cli.main(["nlsq", "--fock", "1", "--loss", "0.1"]) == 0
-assert loaded() == ["scipy.special", "scipy.linalg"], loaded()
+# scipy.optimize brings scipy.special and scipy.linalg with it
+assert cli.main(["filter-design", "--gamma", "1e9"]) == 0
+assert loaded() == ["scipy.special", "scipy.optimize", "scipy.linalg"], loaded()
 assert cli.main(["optimize", "--max-photon", "1"]) == 0
 assert loaded() == ["scipy.special", "scipy.optimize", "scipy.linalg"], loaded()
 """

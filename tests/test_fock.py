@@ -276,6 +276,16 @@ def test_wigner_empty_grid_error():
 # displacement and squeezed vacuum
 # ---------------------------------------------------------------------------
 
+@given(st.integers(0, 1000))
+def test_log_factorials_match_gammaln(n):
+    from scipy.special import gammaln
+
+    from nlsqlab.fock import _log_factorials
+
+    np.testing.assert_allclose(_log_factorials(n), gammaln(np.arange(n) + 1.0),
+                               rtol=1e-15, atol=0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.complex_numbers(max_magnitude=1.0))
 def test_displaced_vacuum_is_coherent(alpha):

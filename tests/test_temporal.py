@@ -5,13 +5,12 @@ import types
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.optimize
 
 import nlsqlab as nl
 from nlsqlab import temporal, tomo
 from nlsqlab.errors import (AmbiguityError, DegeneratePoleError, DimensionError,
-                            InvalidInputError, TruncationError)
+                            InvalidInputError, NumericalError, TruncationError)
 
 import oracles
 
@@ -458,15 +457,15 @@ def photon_traces():
 
 @pytest.mark.parametrize("window", [None, (-30e-9, 0.0)], ids=["full", "30ns"])
 def test_pca_top_two_eigenpairs_match_full_eigh(monkeypatch, photon_traces, window):
-    real = scipy.linalg.eigh
+    real = temporal._top_two_eigenpairs
     seen = []
 
-    def recording(cov, **kwargs):
-        result = real(cov, **kwargs)
+    def recording(cov):
+        result = real(cov)
         seen.append((cov.copy(), result))
         return result
 
-    monkeypatch.setattr(scipy.linalg, "eigh", recording)
+    monkeypatch.setattr(temporal, "_top_two_eigenpairs", recording)
     est = nl.pca_mode_estimate(photon_traces, window=window)
     (cov, ((mu2, mu1), _)), = seen
     assert cov.dtype == np.float64
@@ -485,17 +484,76 @@ def test_pca_top_two_eigenpairs_match_full_eigh(monkeypatch, photon_traces, wind
     (2.0, 1.0, False), (2.0 - 1e-9, 1.0, True), (1.0, -3.0, False),
     (0.0, -1.0, True), (-1.0, -2.0, True)])
 def test_pca_ambiguity_threshold(monkeypatch, photon_traces, mu1, mu2, ambiguous):
-    real = scipy.linalg.eigh
+    real = temporal._top_two_eigenpairs
 
-    def fixed_values(cov, **kwargs):
-        return np.array([mu2, mu1]), real(cov, **kwargs)[1]
+    def fixed_values(cov):
+        return np.array([mu2, mu1]), real(cov)[1]
 
-    monkeypatch.setattr(scipy.linalg, "eigh", fixed_values)
+    monkeypatch.setattr(temporal, "_top_two_eigenpairs", fixed_values)
     if ambiguous:
         with pytest.raises(AmbiguityError):
             nl.pca_mode_estimate(photon_traces, window=(-30e-9, 0.0))
     else:
         nl.pca_mode_estimate(photon_traces, window=(-30e-9, 0.0))
+
+
+@pytest.mark.parametrize("n_bins", [300, 1001])
+def test_pca_repeated_top_eigenvalue_is_ambiguous(n_bins):
+    # Each event holds +-a in one of two bins, so the float32 covariance is
+    # exactly diagonal with its top eigenvalue twice: a Krylov space grown
+    # from one start vector would hold only one copy of it.
+    a = 2.0 ** 17
+    traces = np.zeros((1000, n_bins), dtype=np.float32)
+    for k, (col, sign) in enumerate([(n_bins // 3, 1), (n_bins // 3, -1),
+                                     (n_bins // 2, 1), (n_bins // 2, -1)]):
+        traces[k::4, col] = sign * a
+    dt = 0.2e-9
+    ts = nl.TraceSet(traces=traces, dt=dt, phases=np.zeros(1000),
+                     t=(np.arange(n_bins) - (n_bins - 1) / 2.0) * dt)
+    with pytest.raises(AmbiguityError, match="not separated"):
+        nl.pca_mode_estimate(ts)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+def test_pca_eigensolver_finds_both_copies_of_a_repeated_eigenvalue(monkeypatch, rotated):
+    # Tested after every block, a single start vector returns the next
+    # eigenvalue, 4, as the second before round-off reveals the second 10.
+    monkeypatch.setattr(temporal, "_LANCZOS_CHECK_EVERY", 1)
+    rng = np.random.default_rng(1)
+    eigenvalues = np.r_[10.0, 10.0, 4.0, rng.random(297)]
+    cov = np.diag(eigenvalues)
+    if rotated:
+        v = np.linalg.qr(rng.standard_normal((300, 300)))[0]
+        cov = (v * eigenvalues) @ v.T
+    (mu2, mu1), vecs = temporal._top_two_eigenpairs(cov)
+    assert mu1 == pytest.approx(10.0, rel=1e-12)
+    assert mu2 == pytest.approx(10.0, rel=1e-12)
+    assert np.abs(cov @ vecs - 10.0 * vecs).max() <= 1e-7
+
+
+def test_pca_eigensolver_stops_at_an_invariant_subspace():
+    # Three distinct eigenvalues: the block Krylov space is invariant after
+    # two blocks, and what is left of C times the next block is round-off
+    # (exact zeros here) that must not enter the basis.
+    cov = np.diag(np.r_[0.0, 5.0, 5.0, np.ones(297)])
+    (mu2, mu1), vecs = temporal._top_two_eigenpairs(cov)
+    assert mu1 == pytest.approx(5.0, rel=1e-12)
+    assert mu2 == pytest.approx(5.0, rel=1e-12)
+    assert np.abs(vecs[[1, 2]].T @ vecs[[1, 2]] - np.eye(2)).max() <= 1e-12
+
+
+def test_pca_eigensolver_step_cap_raises(monkeypatch, photon_traces):
+    monkeypatch.setattr(temporal, "_LANCZOS_MAX_STEPS", 3)
+    with pytest.raises(NumericalError, match="did not converge") as info:
+        nl.pca_mode_estimate(photon_traces)
+    assert type(info.value) is NumericalError
+
+
+@pytest.mark.parametrize("window", [None, (-30e-9, 0.0)], ids=["full", "30ns"])
+def test_pca_is_deterministic(photon_traces, window):
+    first = nl.pca_mode_estimate(photon_traces, window=window)
+    second = nl.pca_mode_estimate(photon_traces, window=window)
+    assert first.samples.tobytes() == second.samples.tobytes()
 
 
 @pytest.mark.parametrize("window", [(0.0, 0.0), (-0.1e-9, 0.1e-9), (1e-9, -1e-9)])
