@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -239,6 +239,100 @@ def _canonical_coeffs(c: np.ndarray) -> np.ndarray:
     return c
 
 
+#: Newton refinement of a grid minimum: the iteration cap (reaching it
+#: raises), the step that counts as converged relative to |u|, and the floor
+#: on the Hessian's eigenvalue magnitudes, relative to the largest, that keeps
+#: the local model positive definite.
+_NEWTON_MAX_STEPS = 100
+_NEWTON_STEP_TOL = 1e-12
+_NEWTON_CURVATURE_FLOOR = 1e-8
+
+
+def _noise_terms(blocks, kappa: float, order: int):
+    """Y and P Y^2 P of the ancilla search in units of the vacuum optimum.
+
+    At lambda = lambda_vac e^s each is sum_k e^(k s) A_k, returned as
+    (powers k, stacked blocks A_k); an s-derivative only rescales A_k by k.
+    Y is divided by sqrt(V_vac) and Y^2 by V_vac, so the search is the same
+    at every kappa.
+    """
+    bp, bp2, bxn, bxn2, bsym = blocks
+    v_vac, lam_vac = vacuum_optimum(kappa, order)
+    a = lam_vac / math.sqrt(v_vac)
+    b = order * kappa / lam_vac ** (order - 1) / math.sqrt(v_vac)
+    return ((np.array([1.0, 1.0 - order]), np.stack([a * bp, -b * bxn])),
+            (np.array([2.0, 2.0 - 2.0 * order, 2.0 - order]),
+             np.stack([a * a * bp2, b * b * bxn2, -2.0 * a * b * bsym])))
+
+
+def _power_sum(terms, s: float, derivative: int = 0) -> np.ndarray:
+    powers, stack = terms
+    return np.tensordot(powers ** derivative * np.exp(powers * s), stack, axes=1)
+
+
+def _shifted_square(y, y2, t):
+    t = np.asarray(t, dtype=float)[..., None, None]
+    return y2 - 2.0 * t * y + t * t * np.eye(len(y))
+
+
+def _lowest_eigenvalue_derivatives(y_terms, y2_terms, u):
+    """(f, gradient, Hessian) in u = (s, t) of the lowest eigenvalue f of
+    H = Y^2 - 2 t Y + t^2, from one eigendecomposition of H.
+
+    The gradient is v0^dag (dH) v0 (Hellmann-Feynman); the Hessian adds the
+    second-order perturbation sum 2 Re[(v_k^dag d_i H v0)^* (v_k^dag d_j H v0)]
+    / (w0 - w_k).  Levels within 1e-12 of the spectrum's scale of w0 are left
+    out of that sum: they couple to nothing, as at full loss, where H is a
+    multiple of the identity.
+    """
+    s, t = u
+    y, dy, d2y = (_power_sum(y_terms, s, d) for d in range(3))
+    y2, dy2, d2y2 = (_power_sum(y2_terms, s, d) for d in range(3))
+    w, v = np.linalg.eigh(_shifted_square(y, y2, t))
+    v0 = v[:, 0]
+    # row i holds v_k^dag (dH/du_i) v0 for every level k
+    couplings = np.stack([v.conj().T @ (dh @ v0)
+                          for dh in (dy2 - 2.0 * t * dy, 2.0 * (t * np.eye(len(y)) - y))])
+    gaps = w[0] - w[1:]
+    far = np.abs(gaps) > 1e-12 * np.abs(w).max()
+    c = couplings[:, 1:][:, far]
+    hess = 2.0 * ((c.conj() / gaps[far]) @ c.T).real
+    cross = -2.0 * np.vdot(v0, dy @ v0).real
+    hess += [[np.vdot(v0, (d2y2 - 2.0 * t * d2y) @ v0).real, cross], [cross, 2.0]]
+    return w[0], couplings[:, 0].real, hess
+
+
+def _newton_minimize(evaluate, u):
+    """(f, u) at a local minimum of f, by damped Newton from u.
+
+    ``evaluate(u)`` gives (f, gradient, Hessian).  Each step is -H~^-1 g, H~
+    the Hessian with its eigenvalues replaced by their floored magnitudes, and
+    is halved until f falls; a tie is not taken, since in a valley flat to
+    rounding ties would let the steps wander.  The search stops when a step
+    falls below _NEWTON_STEP_TOL relative to u, and raises NumericalError at
+    _NEWTON_MAX_STEPS steps rather than return an unconverged point.
+    """
+    f, grad, hess = evaluate(u)
+    for _ in range(_NEWTON_MAX_STEPS):
+        w, q = np.linalg.eigh(hess)
+        w = np.maximum(np.abs(w), _NEWTON_CURVATURE_FLOOR * np.abs(w).max())
+        step = -q @ ((q.T @ grad) / w)
+        if not np.all(np.isfinite(step)):
+            raise NumericalError(f"Newton step {step} at u = {u} is not finite")
+        tol = _NEWTON_STEP_TOL * max(1.0, float(np.linalg.norm(u)))
+        while np.linalg.norm(step) > tol:
+            trial = evaluate(u + step)
+            if trial[0] < f:
+                break
+            step = step / 2.0
+        else:
+            return f, u
+        u = u + step
+        f, grad, hess = trial
+    raise NumericalError(
+        f"Newton refinement did not converge in {_NEWTON_MAX_STEPS} steps (u = {u})")
+
+
 def _optimal_ancilla(max_photon: int, kappa: float, order: int,
                      loss: float | None) -> np.ndarray:
     """Input vector on {|0>..|M>} whose (lossy) output minimizes the optimal
@@ -251,66 +345,44 @@ def _optimal_ancilla(max_photon: int, kappa: float, order: int,
     P Y^2 P exact.  Under loss, Tr[E(rho) O] = Tr[rho E^dag(O)], so the
     blocks go through the adjoint channel first.  The lowest eigenvalue need
     not be convex in (lambda, m): every local minimum of a grid is refined
-    by Nelder-Mead in (log lambda, m) and the lowest refinement wins.
+    by damped Newton steps in (log lambda, m), with the exact gradient and
+    Hessian of that eigenvalue, and the lowest refinement wins.
     """
-    from scipy.optimize import minimize
-
     blocks = _moment_blocks(max_photon + 1, order)
     if loss is not None:
         blocks = tuple(loss_adjoint(b, loss) for b in blocks)
-    bp, bp2, bxn, bxn2, bsym = blocks
-    eye = np.eye(max_photon + 1)
-    v_vac, lam_vac = vacuum_optimum(kappa, order)
-    # lambda relative to the vacuum optimum and m in units of the vacuum
-    # noise keep the search the same at every kappa.
-    unit = math.sqrt(v_vac)
-
-    def operators(log_lam: float):
-        lam = lam_vac * math.exp(log_lam)
-        coeff = order * kappa / lam ** (order - 1)
-        return (lam * bp - coeff * bxn,
-                lam ** 2 * bp2 + coeff ** 2 * bxn2 - 2.0 * lam * coeff * bsym)
-
-    def shifted_square(y, y2, m):
-        m = np.asarray(m, dtype=float)[..., None, None]
-        return y2 - 2.0 * m * y + m * m * eye
+    y_terms, y2_terms = _noise_terms(blocks, kappa, order)
 
     n = ANCILLA_GRID_POINTS
     log_lams = np.linspace(-math.log(ANCILLA_LAMBDA_SPAN), math.log(ANCILLA_LAMBDA_SPAN), n)
     ms = np.empty((n, n))
     vals = np.empty((n, n))
-    for i, log_lam in enumerate(log_lams):
-        y, y2 = operators(log_lam)
+    for i, s in enumerate(log_lams):
+        y, y2 = _power_sum(y_terms, s), _power_sum(y2_terms, s)
         spectrum = np.linalg.eigvalsh(y)
         ms[i] = np.linspace(spectrum[0], spectrum[-1], n)
-        vals[i] = np.linalg.eigvalsh(shifted_square(y, y2, ms[i]))[:, 0]
+        vals[i] = np.linalg.eigvalsh(_shifted_square(y, y2, ms[i]))[:, 0]
 
-    def objective(u) -> float:
-        y, y2 = operators(u[0])
-        return float(np.linalg.eigvalsh(shifted_square(y, y2, u[1] * unit))[0]) / v_vac
-
+    evaluate = partial(_lowest_eigenvalue_derivatives, y_terms, y2_terms)
     # grid points no larger than any of their 8 neighbours
     windows = sliding_window_view(np.pad(vals, 1, constant_values=np.inf), (3, 3))
     best = None
     refined = set()
     for i, j in np.argwhere(vals <= windows.min(axis=(2, 3))):
-        u0 = np.array([log_lams[i], ms[i, j] / unit])
+        u0 = (log_lams[i], ms[i, j])
         # a flat row (full loss makes Y a multiple of the identity) repeats
         # one start point, and a repeated start repeats its run
-        if tuple(u0) in refined:
+        if u0 in refined:
             continue
-        refined.add(tuple(u0))
-        simplex = [u0, u0 + [log_lams[1] - log_lams[0], 0.0],
-                   u0 + [0.0, (ms[i, 1] - ms[i, 0]) / unit]]
-        res = minimize(objective, u0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-13,
-                                "initial_simplex": simplex})
-        if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
-            best = res
+        refined.add(u0)
+        f, u = _newton_minimize(evaluate, np.array(u0))
+        if np.isfinite(f) and (best is None or f < best[0]):
+            best = f, u
     if best is None:
         raise NumericalError("ancilla optimization found no finite minimum")
-    y, y2 = operators(best.x[0])
-    _, vecs = np.linalg.eigh(shifted_square(y, y2, best.x[1] * unit))
+    s, t = best[1]
+    _, vecs = np.linalg.eigh(
+        _shifted_square(_power_sum(y_terms, s), _power_sum(y2_terms, s), t))
     return vecs[:, 0]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nlsqlab as nl
+from nlsqlab import fock, nlsq
 from nlsqlab.errors import DimensionError, InvalidInputError, NumericalError
 
 import oracles
@@ -375,6 +376,8 @@ def test_optimize_higher_orders_improve_with_photon_number(order):
     # 32-start Nelder-Mead over the coefficients reaches the same values.
     (1, None, 3, 0.7168215), (1, 0.25, 3, 0.8509278), (2, None, 3, 0.5911550),
     (2, 0.25, 3, 0.7987064), (3, None, 3, 0.5172242),
+    # Larger M: the ratios that the grid refined by Nelder-Mead reached.
+    (5, None, 3, 0.4310808), (10, None, 3, 0.2907489), (10, None, 4, 0.5558589),
     # The (lambda, m) landscape has several local minima here; refining only
     # the grid's lowest point ends at 0.50095.
     (10, None, 5, 0.4956738),
@@ -386,19 +389,57 @@ def test_optimize_pinned_ratios(max_photon, loss, order, expected):
 
 def test_optimize_refines_once_at_full_loss(monkeypatch):
     # full loss flattens every grid row; one refinement serves them all
-    import scipy.optimize
-
     calls = []
-    minimize = scipy.optimize.minimize
+    newton_minimize = nlsq._newton_minimize
 
-    def counting_minimize(*args, **kwargs):
+    def counting_newton_minimize(*args, **kwargs):
         calls.append(args)
-        return minimize(*args, **kwargs)
+        return newton_minimize(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", counting_minimize)
+    monkeypatch.setattr(nlsq, "_newton_minimize", counting_newton_minimize)
     res = nl.optimize_coefficients(2, loss=1.0)[1]
     assert len(calls) == 1
     assert res.ratio == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("blocks_dtype", [complex, float], ids=["complex", "real"])
+@pytest.mark.parametrize("loss", [None, 0.25])
+@pytest.mark.parametrize("order", [3, 4, 5])
+@pytest.mark.parametrize("max_photon", [1, 2, 5])
+def test_ancilla_eigenvalue_derivatives_match_finite_differences(max_photon, order, loss,
+                                                                 blocks_dtype):
+    blocks = nlsq._moment_blocks(max_photon + 1, order)
+    if loss is not None:
+        blocks = tuple(fock.loss_adjoint(b, loss) for b in blocks)
+    # the real parts of Hermitian blocks are real symmetric blocks
+    blocks = tuple(b.real if blocks_dtype is float else b for b in blocks)
+    assert all(b.dtype == np.dtype(blocks_dtype) for b in blocks)
+    terms = nlsq._noise_terms(blocks, 1.0, order)
+
+    def lowest(u):
+        return nlsq._lowest_eigenvalue_derivatives(*terms, u)[0]
+
+    rng = np.random.default_rng(100 * max_photon + 10 * order + (loss is None))
+    # steps that balance truncation against rounding: errors seen were below
+    # 3e-9 (gradient) and 2e-6 (Hessian) of the largest Hessian entry
+    dg, dh = 1e-5 * np.eye(2), 1e-4 * np.eye(2)
+    for u in np.column_stack([rng.uniform(-1.0, 1.0, 4), rng.uniform(-1.5, 1.5, 4)]):
+        f, grad, hess = nlsq._lowest_eigenvalue_derivatives(*terms, u)
+        assert f == lowest(u)
+        fd_grad = [(lowest(u + dg[i]) - lowest(u - dg[i])) / 2e-5 for i in range(2)]
+        fd_hess = [[(lowest(u + dh[i] + dh[j]) - lowest(u + dh[i] - dh[j])
+                     - lowest(u - dh[i] + dh[j]) + lowest(u - dh[i] - dh[j])) / 4e-8
+                    for j in range(2)] for i in range(2)]
+        scale = max(1.0, np.abs(hess).max())
+        np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-7 * scale)
+        np.testing.assert_allclose(hess, fd_hess, rtol=0, atol=2e-5 * scale)
+
+
+def test_optimize_newton_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(nlsq, "_NEWTON_MAX_STEPS", 1)
+    with pytest.raises(NumericalError, match="did not converge") as info:
+        nl.optimize_coefficients(1)
+    assert type(info.value) is NumericalError
 
 
 def test_optimize_rejects_negative_photon_count():
