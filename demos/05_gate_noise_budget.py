@@ -9,9 +9,9 @@ squeezed-resource part.
 
 import nlsqlab as nl
 
-vac = nl.ModeMoments.from_state(nl.vacuum(6))
+vac = nl.vacuum(6)
 best_coeffs, best = nl.optimize_coefficients(1)
-anc_opt = nl.ModeMoments.from_state(nl.make_superposition(best_coeffs, 6))
+anc_opt = nl.make_superposition(best_coeffs, 6)
 
 print("=== ancilla choices (input vacuum, resource variance 0.05) ===")
 for label, anc in [("vacuum ancilla", vac),

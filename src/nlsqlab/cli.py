@@ -339,8 +339,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_gate_noise(args) -> int:
-    inp = gate.ModeMoments.from_state(_parse_state_spec(args.input, args.deg, args.dim))
-    anc = gate.ModeMoments.from_state(_parse_state_spec(args.ancilla, args.deg, args.dim))
+    inp = _parse_state_spec(args.input, args.deg, args.dim)
+    anc = _parse_state_spec(args.ancilla, args.deg, args.dim)
     report = gate.propagate(inp, anc, args.sqz_var, args.kappa)
     _print_json(report.to_dict())
     return EXIT_OK

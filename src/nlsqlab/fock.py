@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError, NumericalError, TruncationError
+from .errors import DimensionError, InvalidInputError, TruncationError
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -30,17 +30,6 @@ def _log_factorials(n: int) -> np.ndarray:
     return np.array([math.lgamma(k + 1.0) for k in range(n)])
 
 
-def _square_complex(matrix, dim: int) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] != dim:
-        raise DimensionError(f"matrix shape {arr.shape} does not match dim={dim}")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise InvalidInputError("matrix contains non-finite entries")
-    return arr
-
-
 @dataclass(frozen=True)
 class QuantumState:
     """Density matrix on the truncated number basis {|0>, ..., |dim-1>}.
@@ -54,7 +43,13 @@ class QuantumState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _square_complex(self.matrix, self.dim).copy()
+        mat = np.array(self.matrix, dtype=complex, order="C")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
+        if mat.shape[0] != self.dim:
+            raise DimensionError(f"matrix shape {mat.shape} does not match dim={self.dim}")
+        if not np.all(np.isfinite(mat.view(float))):
+            raise InvalidInputError("matrix contains non-finite entries")
         herm_defect = np.abs(mat - mat.conj().T).max()
         if herm_defect > HERMITICITY_TOL:
             raise InvalidInputError(f"matrix not Hermitian (defect {herm_defect:.2e})")
@@ -69,25 +64,6 @@ class QuantumState:
 
     def __repr__(self):  # keep reprs short; the matrix can be large
         return f"QuantumState(dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class FockOperator:
-    """A dim x dim operator in the number basis."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _square_complex(self.matrix, self.dim).copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= tol)
-
-    def __repr__(self):
-        return f"FockOperator(dim={self.dim})"
 
 
 def make_superposition(coeffs, dim: int) -> QuantumState:
@@ -142,26 +118,17 @@ def squeezed_vacuum(r: float, dim: int) -> QuantumState:
     return make_superposition(amps, dim)
 
 
-def quadrature_ops(dim: int) -> tuple[FockOperator, FockOperator]:
-    """Quadrature pair (x, p) with matrix elements x[n, n+1] = sqrt((n+1)/2)."""
+def quadrature_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only dim x dim matrices (x, p) in the number basis, with
+    x[n, n+1] = sqrt((n+1)/2)."""
     if dim < 2:
         raise DimensionError("quadrature operators need dim >= 2")
     a = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
     x = (a + a.conj().T) / np.sqrt(2.0)
     p = (a - a.conj().T) / (1j * np.sqrt(2.0))
-    return FockOperator(dim, x), FockOperator(dim, p)
-
-
-def moment(state: QuantumState, op: FockOperator):
-    """Tr(op * rho); real for Hermitian operators, complex otherwise."""
-    if state.dim != op.dim:
-        raise DimensionError(f"state dim {state.dim} != operator dim {op.dim}")
-    value = np.einsum("ij,ji->", op.matrix, state.matrix)
-    if op.is_hermitian():
-        if abs(value.imag) > 1e-10:
-            raise NumericalError(f"Hermitian expectation came out complex: {value!r}")
-        return float(value.real)
-    return complex(value)
+    x.setflags(write=False)
+    p.setflags(write=False)
+    return x, p
 
 
 def _loss_kraus_weights(dim: int, loss: float):

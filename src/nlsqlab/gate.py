@@ -15,60 +15,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidInputError
-from .fock import QuantumState, moment, quadrature_ops
-from .nlsq import (Moments, noise_moments, optimize_coefficients, vacuum_optimum,
-                   variance_from_moments)
+import numpy as np
 
-UNCERTAINTY_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class ModeMoments:
-    """Single-mode moments up to x^4, p^2 and the symmetrized {p, x^2}/2."""
-
-    mean_x: float
-    mean_p: float
-    x2: float
-    p2: float
-    x4: float
-    sym_px2: float
-
-    def __post_init__(self):
-        if self.var_x * self.var_p < 0.25 - UNCERTAINTY_SLACK:
-            raise InvalidInputError(
-                f"moments violate the uncertainty bound: Var(x) Var(p) = "
-                f"{self.var_x * self.var_p:.6g} < 1/4"
-            )
-        if self.x2 < self.mean_x ** 2 - UNCERTAINTY_SLACK:
-            raise InvalidInputError("<x^2> must dominate <x>^2")
-        if self.x4 < self.x2 ** 2 - UNCERTAINTY_SLACK:
-            raise InvalidInputError("<x^4> must dominate <x^2>^2")
-
-    @property
-    def var_x(self) -> float:
-        return self.x2 - self.mean_x ** 2
-
-    @property
-    def var_p(self) -> float:
-        return self.p2 - self.mean_p ** 2
-
-    @property
-    def var_x2(self) -> float:
-        return self.x4 - self.x2 ** 2
-
-    @property
-    def cov_p_x2(self) -> float:
-        """Symmetrized covariance of p and x^2."""
-        return self.sym_px2 - self.mean_p * self.x2
-
-    @classmethod
-    def from_state(cls, state: QuantumState) -> "ModeMoments":
-        # The order-3 noise moments are those of p, p^2, x^2, x^4 and
-        # {p, x^2}/2, exact at any cutoff; <x> needs no headroom.
-        mom = noise_moments(state, 3)
-        return cls(mean_x=moment(state, quadrature_ops(state.dim)[0]), mean_p=mom.p,
-                   x2=mom.xn, p2=mom.p2, x4=mom.xn2, sym_px2=mom.sym)
+from .errors import InvalidInputError, NumericalError
+from .fock import QuantumState, quadrature_ops
+from .nlsq import noise_moments, optimize_coefficients, vacuum_optimum, variance_from_moments
 
 
 @dataclass(frozen=True)
@@ -100,15 +51,7 @@ class GateNoiseReport:
         }
 
 
-def ancilla_noise_variance(moments: ModeMoments, kappa: float = 1.0) -> float:
-    """Var(p - 3 kappa x^2) from a mode's moments; the gate's ancilla term is
-    the order-3 nonlinear variance at lambda = 1."""
-    mom = Moments(p=moments.mean_p, p2=moments.p2, xn=moments.x2,
-                  xn2=moments.x4, sym=moments.sym_px2)
-    return variance_from_moments(mom, 1.0, kappa, 3)
-
-
-def propagate(input_moments: ModeMoments, ancilla_moments: ModeMoments,
+def propagate(input_state: QuantumState, ancilla_state: QuantumState,
               sqz_var: float, kappa: float = 1.0) -> GateNoiseReport:
     """Propagate means and variances through the gate circuit.
 
@@ -116,35 +59,45 @@ def propagate(input_moments: ModeMoments, ancilla_moments: ModeMoments,
     Gaussian factorization gives <x_sqz^4> = 3 sqz_var^2; the squeezed-mode
     terms are odd in x_sqz wherever they meet the signal terms, so the output
     p-variance splits exactly into the ideal part, the ancilla part and the
-    squeezed-resource part.
+    squeezed-resource part.  The ancilla part is the order-3 nonlinear
+    variance Var(p - 3 kappa x^2) at lambda = 1.
+
+    Raises NumericalError when a term of the budget is not finite.
     """
     if not math.isfinite(kappa):
         raise InvalidInputError(f"gate strength kappa must be finite, got {kappa}")
     if not (math.isfinite(sqz_var) and sqz_var >= 0):
         raise InvalidInputError(
             f"squeezed-mode variance must be finite and >= 0, got {sqz_var}")
-    inp, anc = input_moments, ancilla_moments
+    # The order-3 moments are those of p, p^2, x^2, x^4 and {p, x^2}/2; <x>
+    # is not among them.
+    inp = noise_moments(input_state, 3)
+    anc = noise_moments(ancilla_state, 3)
+    x = quadrature_ops(input_state.dim)[0]
+    mean_x = float(np.einsum("ij,ji->", x, input_state.matrix).real)
 
-    mean_x_out = inp.mean_x / math.sqrt(2.0)
-    var_x_out = (inp.var_x + sqz_var) / 2.0
-
-    mean_p_out = (math.sqrt(2.0) * inp.mean_p + 1.5 * kappa * inp.x2
-                  + anc.mean_p - 3.0 * kappa * anc.x2 + 1.5 * kappa * sqz_var)
-
-    ideal_var = (2.0 * inp.var_p + 2.25 * kappa ** 2 * inp.var_x2
-                 + 3.0 * math.sqrt(2.0) * kappa * inp.cov_p_x2)
-    anc_excess = ancilla_noise_variance(anc, kappa)
-    sqz_excess = 9.0 * kappa ** 2 * (inp.x2 * sqz_var + sqz_var ** 2 / 2.0)
-
-    return GateNoiseReport(
-        mean_x_out=mean_x_out,
-        mean_p_out=mean_p_out,
-        var_x_out=var_x_out,
-        var_p_out=ideal_var + anc_excess + sqz_excess,
-        ideal_var=ideal_var,
-        ancilla_excess=anc_excess,
-        sqz_excess=sqz_excess,
-    )
+    try:
+        mean_p_out = (math.sqrt(2.0) * inp.p + 1.5 * kappa * inp.xn
+                      + anc.p - 3.0 * kappa * anc.xn + 1.5 * kappa * sqz_var)
+        ideal_var = (2.0 * inp.var_p + 2.25 * kappa ** 2 * inp.var_xn
+                     + 3.0 * math.sqrt(2.0) * kappa * inp.cov)
+        anc_excess = variance_from_moments(anc, 1.0, kappa, 3)
+        sqz_excess = 9.0 * kappa ** 2 * (inp.xn * sqz_var + sqz_var ** 2 / 2.0)
+        report = GateNoiseReport(
+            mean_x_out=mean_x / math.sqrt(2.0),
+            mean_p_out=mean_p_out,
+            var_x_out=(inp.xn - mean_x ** 2 + sqz_var) / 2.0,
+            var_p_out=ideal_var + anc_excess + sqz_excess,
+            ideal_var=ideal_var,
+            ancilla_excess=anc_excess,
+            sqz_excess=sqz_excess,
+        )
+    except OverflowError:  # float ** raises where * and + give inf
+        report = None
+    if report is None or not all(map(math.isfinite, report.to_dict().values())):
+        raise NumericalError(
+            f"gate noise budget is not finite at kappa={kappa}, sqz_var={sqz_var}")
+    return report
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,24 @@ from .fock import (QuantumState, apply_loss, loss_adjoint, make_superposition,
 #: count optima at a bound.
 LAMBDA_BOUNDS = (0.0, math.inf)
 
-Moments = namedtuple("Moments", "p p2 xn xn2 sym")
+
+class Moments(namedtuple("Moments", "p p2 xn xn2 sym")):
+    """<p>, <p^2>, <x^(N-1)>, <x^(2N-2)> and <{p, x^(N-1)}>/2 of one state."""
+
+    __slots__ = ()
+
+    @property
+    def var_p(self) -> float:
+        return self.p2 - self.p ** 2
+
+    @property
+    def var_xn(self) -> float:
+        return self.xn2 - self.xn ** 2
+
+    @property
+    def cov(self) -> float:
+        """Symmetrised covariance of p and x^(N-1)."""
+        return self.sym - self.p * self.xn
 
 
 @dataclass(frozen=True)
@@ -78,8 +95,7 @@ def _moment_blocks(dim: int, order: int):
     state supported on the first dim levels.
     """
     pad = 2 * (order - 1)
-    x, p = quadrature_ops(dim + pad)
-    xm, pm = x.matrix, p.matrix
+    xm, pm = quadrature_ops(dim + pad)
     xn = np.linalg.matrix_power(xm, order - 1)
     blocks = (
         pm[:dim, :dim],
@@ -122,10 +138,7 @@ def variance_from_moments(mom: Moments, lam: float, kappa: float, order: int) ->
     if not lam > 0:
         raise InvalidInputError(f"lambda must be positive, got {lam}")
     coeff = order * kappa / lam ** (order - 1)
-    var_p = mom.p2 - mom.p ** 2
-    var_xn = mom.xn2 - mom.xn ** 2
-    cov = mom.sym - mom.p * mom.xn
-    return lam ** 2 * var_p + coeff ** 2 * var_xn - 2.0 * lam * coeff * cov
+    return lam ** 2 * mom.var_p + coeff ** 2 * mom.var_xn - 2.0 * lam * coeff * mom.cov
 
 
 def nonlinear_variance(state: QuantumState, lam: float, kappa: float = 1.0,
@@ -153,9 +166,9 @@ def _minimize_lambda(mom: Moments, kappa: float, order: int) -> tuple[float, flo
     """
     _validate_kappa(kappa)
     c = order * kappa
-    a = mom.p2 - mom.p ** 2
-    b = (order - 2) * c * (mom.sym - mom.p * mom.xn)
-    q = (order - 1) * c * c * (mom.xn2 - mom.xn ** 2)
+    a = mom.var_p
+    b = (order - 2) * c * mom.cov
+    q = (order - 1) * c * c * mom.var_xn
     if not (a > 0 and 0 < q < math.inf):
         raise NumericalError(
             f"no lambda optimum: Var p = {a}, (N-1) (N kappa)^2 Var x^(N-1) = {q}")

@@ -351,7 +351,7 @@ def simulate_traces(state: QuantumState, mode: TemporalMode, n_events: int,
     the grid, with its component along f removed.  Integrating a trace
     against f therefore returns exactly the drawn quadrature sample.
     """
-    from .tomo import _cdf_table
+    from .tomo import _cdf_table, _lo_phases
 
     if n_events < 1:
         raise InvalidInputError("need at least one event")
@@ -360,7 +360,7 @@ def simulate_traces(state: QuantumState, mode: TemporalMode, n_events: int,
     norm = float(np.sum(f ** 2) * dt)
     if abs(norm - 1.0) > 1e-6:
         raise InvalidInputError("mode must be normalized on its grid")
-    phase_per_event = np.resize(np.asarray(phases, dtype=float), n_events)
+    phase_per_event = np.resize(_lo_phases(phases), n_events)
     ss = np.random.SeedSequence(seed)
     rng_q, rng_noise = (np.random.default_rng(c) for c in ss.spawn(2))
 

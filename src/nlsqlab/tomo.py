@@ -121,6 +121,18 @@ def _cdf_table(state: QuantumState, phase: float):
     return x, cdf
 
 
+def _lo_phases(phases) -> np.ndarray:
+    """LO phases as a flat float array; each must be finite, and there must
+    be at least one."""
+    arr = np.asarray(phases, dtype=float).ravel()
+    if arr.size == 0:
+        raise InvalidInputError("need at least one LO phase")
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise InvalidInputError(f"LO phase {bad[0]} is not finite")
+    return arr
+
+
 def sample_values(state: QuantumState, phase: float, n: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF draws from the quadrature distribution at one phase."""
@@ -137,7 +149,7 @@ def sample(state: QuantumState, phases=DEFAULT_PHASES,
     """
     if n_per_phase < 1:
         raise InvalidInputError("n_per_phase must be at least 1")
-    phases = [float(p) for p in phases]
+    phases = _lo_phases(phases).tolist()
     children = np.random.SeedSequence(seed).spawn(len(phases))
     all_phases = []
     all_values = []
@@ -223,6 +235,8 @@ def _iterate(P: np.ndarray, counts: np.ndarray, dim: int, max_iters: int, tol: f
     """
     if max_iters < 1:
         raise InvalidInputError("max_iters must be at least 1")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidInputError(f"MLE tolerance must be finite and >= 0, got {tol}")
     keep = counts > 0
     if not keep.any():
         raise InvalidInputError("no samples inside the MLE support")

@@ -37,6 +37,20 @@ def ladder_x_p(dim: int):
     return x, p
 
 
+def dense_noise_moments(rho: np.ndarray, order: int):
+    """(<p>, <p^2>, <x^(N-1)>, <x^(2N-2)>, <{p, x^(N-1)}>/2) as direct traces
+    against ladder_x_p matrices at a cutoff 4N levels above the state's, where
+    no power up to x^(2N-2) reaches the edge from the state's support."""
+    dim = rho.shape[0]
+    big = dim + 4 * order
+    x, p = ladder_x_p(big)
+    xn = np.linalg.matrix_power(x, order - 1)
+    padded = np.zeros((big, big), dtype=complex)
+    padded[:dim, :dim] = rho
+    ops = (p, p @ p, xn, xn @ xn, (p @ xn + xn @ p) / 2.0)
+    return tuple(float(np.trace(op @ padded).real) for op in ops)
+
+
 # --- two-level states -------------------------------------------------------
 
 def two_level_moments(rho00: float, rho01: complex, rho11: float) -> dict:

@@ -140,14 +140,13 @@ def test_criterion_08_temporal_modes():
 
 def test_criterion_09_gate_noise_budget():
     with tracked(9, "gate noise budget and its nlsq consistency", 5.0):
-        vac = nl.ModeMoments.from_state(nl.vacuum(6))
+        vac = nl.vacuum(6)
         report = nl.propagate(vac, vac, 0.0, kappa=1.0)
         assert abs(report.ancilla_excess - 5.0) < 1e-9
         rng = np.random.default_rng(77)
         for _ in range(20):
             state = random_three_level(rng)
-            excess = nl.propagate(
-                vac, nl.ModeMoments.from_state(state), 0.0).ancilla_excess
+            excess = nl.propagate(vac, state, 0.0).ancilla_excess
             assert abs(excess - nl.nonlinear_variance(state, 1.0)) < 1e-10
         schedule = [1.0, 0.3, 0.1, 0.03, 0.01, 0.0]
         contributions = [nl.propagate(vac, vac, v).sqz_excess for v in schedule]

@@ -96,6 +96,15 @@ def test_gate_noise_rejects_nonfinite(capsys, flag):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag", ["--kappa=1e160", "--sqz-var=1e200"])
+def test_gate_noise_overflow_is_a_numerical_error(capsys, flag):
+    code, out, err = run_cli(capsys, "gate-noise", flag)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_negative_kappa_accepted(capsys):
     code, out, _ = run_cli(capsys, "nlsq", "--fock", "1", "--kappa=-2")
     assert code == 0
@@ -175,6 +184,21 @@ def test_usage_error_from_sampler_truncation(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, command, "--fock", "30", "--out", str(out_file))
     assert code == 2
     assert "holds only" in err
+
+
+@pytest.mark.parametrize("phases, message", [
+    ("", "need at least one LO phase"), ("0,nan", "LO phase nan is not finite"),
+    ("inf", "LO phase inf is not finite")], ids=["empty", "nan", "inf"])
+@pytest.mark.parametrize("command", ["sample", "traces"])
+def test_usage_error_from_bad_phases(tmp_path, capsys, command, phases, message):
+    out_file = tmp_path / "out.bin"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, command, "--fock", "1", f"--phases-deg={phases}",
+                                 "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"error: {message}"
+    assert not out_file.exists()
 
 
 def test_usage_error_from_malformed_trace_file(tmp_path, capsys):
@@ -270,6 +294,17 @@ def test_reconstruct_rejects_malformed_dataset(tmp_path, capsys, body, line):
     if line is not None:  # the file line, counting the header as line 1
         assert err.splitlines()[-1] == (
             f"error: dataset line {line}: rows need two numeric fields")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_reconstruct_rejects_impossible_tolerance(tmp_path, capsys, tol):
+    data = tmp_path / "data.csv"
+    assert run_cli(capsys, "sample", "--fock", "1", "--n-per-phase", "200",
+                   "--out", str(data))[0] == 0
+    code, out, err = run_cli(capsys, "reconstruct", "--in", str(data), f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"error: MLE tolerance must be finite and >= 0, got {float(tol)}")
 
 
 def test_herald_outputs_state_json(capsys):

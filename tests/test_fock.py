@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
+from scipy.special import gammaln
 
 import nlsqlab as nl
 from nlsqlab.errors import DimensionError, InvalidInputError, TruncationError
 
 import oracles
+from strategies import psd_states
 
 
 def assert_valid_state(state):
@@ -20,19 +21,13 @@ def assert_valid_state(state):
     assert np.linalg.eigvalsh(m)[0] > -1e-10
 
 
-@st.composite
-def psd_states(draw, dims=st.integers(2, 12)):
-    """rho = G G^dag / Tr(G G^dag) for a random complex G of random rank,
-    so pure and mixed states both occur."""
-    dim = draw(dims)
-    rank = draw(st.integers(1, dim))
-    g = draw(hnp.arrays(np.float64, (2, dim, rank), elements=st.floats(-1.0, 1.0)))
-    g = g[0] + 1j * g[1]
-    rho = g @ g.conj().T
-    norm = np.trace(rho).real
-    # tiny entries underflow in G G^dag
-    assume(norm > 1e-6)
-    return nl.QuantumState(dim, rho / norm)
+def expectation(state, op):
+    """Tr(op rho), real part, by an explicit trace."""
+    return float(np.trace(op @ state.matrix).real)
+
+
+def hermiticity_defect(op):
+    return np.abs(op - op.conj().T).max()
 
 
 losses = st.floats(0.0, 1.0)
@@ -78,13 +73,12 @@ def test_superposition_errors():
 
 def test_ladder_element():
     x, _ = nl.quadrature_ops(2)
-    assert x.matrix[0, 1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
+    assert x[0, 1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
 
 
 def test_vacuum_variance_convention():
     x, _ = nl.quadrature_ops(3)
-    x2 = nl.FockOperator(3, x.matrix @ x.matrix)
-    assert nl.moment(nl.vacuum(3), x2) == pytest.approx(0.5, abs=1e-14)
+    assert expectation(nl.vacuum(3), x @ x) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_x4_against_explicit_matrix_power():
@@ -92,17 +86,17 @@ def test_x4_against_explicit_matrix_power():
     ref = np.linalg.matrix_power(x_ref, 4)[1, 1].real
     assert ref == pytest.approx(oracles.x4_diag(1), abs=1e-12)  # 15/4
     x, _ = nl.quadrature_ops(10)
-    x4 = np.linalg.matrix_power(x.matrix, 4)
+    x4 = np.linalg.matrix_power(x, 4)
     assert x4[1, 1].real == pytest.approx(ref, abs=1e-12)
 
 
 def test_quadratures_hermitian_and_commutator():
     dim = 12
     x, p = nl.quadrature_ops(dim)
-    assert x.is_hermitian() and p.is_hermitian()
-    x2 = nl.FockOperator(dim, x.matrix @ x.matrix)
-    assert x2.is_hermitian()
-    comm = x.matrix @ p.matrix - p.matrix @ x.matrix - 1j * np.eye(dim)
+    assert hermiticity_defect(x) <= 1e-12 and hermiticity_defect(p) <= 1e-12
+    assert hermiticity_defect(x @ x) <= 1e-12
+    assert not (x.flags.writeable or p.flags.writeable)
+    comm = x @ p - p @ x - 1j * np.eye(dim)
     inner = comm[: dim - 2, : dim - 2]
     assert np.linalg.norm(inner) < 1e-10
 
@@ -113,28 +107,20 @@ def test_quadrature_dim_error():
 
 
 # ---------------------------------------------------------------------------
-# moment
+# expectation values
 # ---------------------------------------------------------------------------
 
 def test_moment_examples():
     dim = 8
     x, p = nl.quadrature_ops(dim)
-    x2 = nl.FockOperator(dim, x.matrix @ x.matrix)
-    p2 = nl.FockOperator(dim, p.matrix @ p.matrix)
-    assert nl.moment(nl.vacuum(dim), x2) == pytest.approx(0.5, abs=1e-12)
-    assert nl.moment(nl.fock_state(1, dim), p2) == pytest.approx(
+    assert expectation(nl.vacuum(dim), x @ x) == pytest.approx(0.5, abs=1e-12)
+    assert expectation(nl.fock_state(1, dim), p @ p) == pytest.approx(
         oracles.p2_diag(1), abs=1e-12)
     state = nl.make_superposition([0.79, -0.61j], dim)
     mom = oracles.two_level_moments(state.matrix[0, 0].real, state.matrix[0, 1],
                                     state.matrix[1, 1].real)
-    assert nl.moment(state, p) == pytest.approx(mom["p"], abs=1e-12)
+    assert expectation(state, p) == pytest.approx(mom["p"], abs=1e-12)
     assert mom["p"] < 0  # the -i superposition points along -p
-
-
-def test_moment_dim_mismatch():
-    x, _ = nl.quadrature_ops(5)
-    with pytest.raises(DimensionError):
-        nl.moment(nl.vacuum(6), x)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +264,6 @@ def test_wigner_empty_grid_error():
 
 @given(st.integers(0, 1000))
 def test_log_factorials_match_gammaln(n):
-    from scipy.special import gammaln
-
     from nlsqlab.fock import _log_factorials
 
     np.testing.assert_allclose(_log_factorials(n), gammaln(np.arange(n) + 1.0),
@@ -297,8 +281,8 @@ def test_displaced_vacuum_is_coherent(alpha):
 def test_displacement_shifts_means():
     x, p = nl.quadrature_ops(30)
     state = nl.displace(nl.vacuum(30), 0.2 + 0.35j)
-    assert nl.moment(state, x) == pytest.approx(np.sqrt(2) * 0.2, abs=1e-10)
-    assert nl.moment(state, p) == pytest.approx(np.sqrt(2) * 0.35, abs=1e-10)
+    assert expectation(state, x) == pytest.approx(np.sqrt(2) * 0.2, abs=1e-10)
+    assert expectation(state, p) == pytest.approx(np.sqrt(2) * 0.35, abs=1e-10)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 1.5j])
@@ -312,12 +296,10 @@ def test_displace_names_population_leaked_above_cutoff(alpha):
 def test_squeezed_vacuum_variance():
     dim = 60
     x, p = nl.quadrature_ops(dim)
-    x2 = nl.FockOperator(dim, x.matrix @ x.matrix)
-    p2 = nl.FockOperator(dim, p.matrix @ p.matrix)
     for r in (0.4, -0.6):
         sv = nl.squeezed_vacuum(r, dim)
-        assert nl.moment(sv, x2) == pytest.approx(np.exp(-2 * r) / 2, rel=1e-9)
-        assert nl.moment(sv, p2) == pytest.approx(np.exp(2 * r) / 2, rel=1e-9)
+        assert expectation(sv, x @ x) == pytest.approx(np.exp(-2 * r) / 2, rel=1e-9)
+        assert expectation(sv, p @ p) == pytest.approx(np.exp(2 * r) / 2, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -353,3 +335,16 @@ def test_state_validation_rejects_bad_matrices():
         nl.QuantumState(2, np.array([[0.9, 0.0], [0.0, 0.2]]))  # trace != 1
     with pytest.raises(InvalidInputError):
         nl.QuantumState(2, np.array([[1.2, 0.0], [0.0, -0.2]]))  # negative
+    with pytest.raises(InvalidInputError):
+        nl.QuantumState(2, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(DimensionError):
+        nl.QuantumState(2, np.eye(3) / 3.0)
+    with pytest.raises(DimensionError):
+        nl.QuantumState(2, np.full((2, 3), 0.5))
+
+
+def test_state_accepts_any_memory_layout():
+    rho = nl.make_superposition([0.6, 0.8j], 3).matrix
+    state = nl.QuantumState(3, np.asfortranarray(rho))
+    assert np.array_equal(state.matrix, rho)
+    assert state.matrix.flags.c_contiguous and not state.matrix.flags.writeable

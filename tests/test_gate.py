@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 import nlsqlab as nl
-from nlsqlab.errors import InvalidInputError
+from nlsqlab.errors import InvalidInputError, NumericalError
 
 import oracles
 
 
-def vacuum_moments():
-    return nl.ModeMoments.from_state(nl.vacuum(6))
+def vacuum_state():
+    return nl.vacuum(6)
+
+
+def mean_x(state):
+    """<x> of a state, read back from the gate's x_out = (x_in - x_sqz)/sqrt(2)."""
+    return nl.propagate(state, vacuum_state(), 0.0).mean_x_out * np.sqrt(2.0)
 
 
 def random_state(rng, support=3, dim=8):
@@ -25,37 +30,25 @@ def random_state(rng, support=3, dim=8):
 # ---------------------------------------------------------------------------
 
 def test_vacuum_moments_values():
-    m = vacuum_moments()
-    assert m.mean_x == pytest.approx(0.0, abs=1e-14)
-    assert m.mean_p == pytest.approx(0.0, abs=1e-14)
-    assert m.x2 == pytest.approx(0.5, abs=1e-13)
+    m = nl.noise_moments(vacuum_state(), 3)
+    assert mean_x(vacuum_state()) == pytest.approx(0.0, abs=1e-14)
+    assert m.p == pytest.approx(0.0, abs=1e-14)
+    assert m.xn == pytest.approx(0.5, abs=1e-13)
     assert m.p2 == pytest.approx(0.5, abs=1e-13)
-    assert m.x4 == pytest.approx(0.75, abs=1e-13)
-    assert m.sym_px2 == pytest.approx(0.0, abs=1e-13)
+    assert m.xn2 == pytest.approx(0.75, abs=1e-13)
+    assert m.sym == pytest.approx(0.0, abs=1e-13)
 
 
 def test_two_level_moments_match_hand_form():
     state = nl.make_superposition([0.79, -0.61j], 6)
-    m = nl.ModeMoments.from_state(state)
+    m = nl.noise_moments(state, 3)
     ref = oracles.two_level_moments(state.matrix[0, 0].real, state.matrix[0, 1],
                                     state.matrix[1, 1].real)
-    assert m.mean_x == pytest.approx(ref["x"], abs=1e-12)
-    assert m.mean_p == pytest.approx(ref["p"], abs=1e-12)
-    assert m.x2 == pytest.approx(ref["x2"], abs=1e-12)
-    assert m.x4 == pytest.approx(ref["x4"], abs=1e-12)
-    assert m.sym_px2 == pytest.approx(ref["sym_px2"], abs=1e-12)
-
-
-def test_moment_invariants_enforced():
-    with pytest.raises(InvalidInputError):
-        nl.ModeMoments(mean_x=0, mean_p=0, x2=0.1, p2=0.1, x4=0.05,
-                       sym_px2=0)  # Var x * Var p < 1/4
-    with pytest.raises(InvalidInputError):
-        nl.ModeMoments(mean_x=2.0, mean_p=0, x2=1.0, p2=10.0, x4=5.0,
-                       sym_px2=0)  # <x^2> < <x>^2
-    with pytest.raises(InvalidInputError):
-        nl.ModeMoments(mean_x=0, mean_p=0, x2=1.0, p2=1.0, x4=0.5,
-                       sym_px2=0)  # <x^4> < <x^2>^2
+    assert mean_x(state) == pytest.approx(ref["x"], abs=1e-12)
+    assert m.p == pytest.approx(ref["p"], abs=1e-12)
+    assert m.xn == pytest.approx(ref["x2"], abs=1e-12)
+    assert m.xn2 == pytest.approx(ref["x4"], abs=1e-12)
+    assert m.sym == pytest.approx(ref["sym_px2"], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +56,7 @@ def test_moment_invariants_enforced():
 # ---------------------------------------------------------------------------
 
 def test_vacuum_everything_budget():
-    report = nl.propagate(vacuum_moments(), vacuum_moments(), 0.0, kappa=1.0)
+    report = nl.propagate(vacuum_state(), vacuum_state(), 0.0, kappa=1.0)
     assert report.ancilla_excess == pytest.approx(5.0, abs=1e-12)
     assert report.sqz_excess == pytest.approx(0.0, abs=1e-15)
     assert report.var_x_out == pytest.approx(0.25, abs=1e-12)
@@ -74,8 +67,8 @@ def test_vacuum_everything_budget():
 
 def test_output_variance_decomposes_exactly():
     rng = np.random.default_rng(0)
-    inp = nl.ModeMoments.from_state(random_state(rng))
-    anc = nl.ModeMoments.from_state(random_state(rng))
+    inp = random_state(rng)
+    anc = random_state(rng)
     report = nl.propagate(inp, anc, 0.3, kappa=0.8)
     assert report.var_p_out == pytest.approx(
         report.ideal_var + report.ancilla_excess + report.sqz_excess, abs=1e-12)
@@ -89,7 +82,7 @@ def test_output_variance_decomposes_exactly():
 
 
 def test_unsqueezed_resource_contribution():
-    report = nl.propagate(vacuum_moments(), vacuum_moments(), 0.5, kappa=1.0)
+    report = nl.propagate(vacuum_state(), vacuum_state(), 0.5, kappa=1.0)
     # independence + Gaussian fourth moment: 9 (<x_in^2> v + v^2/2)
     assert report.sqz_excess == pytest.approx(9.0 * (0.5 * 0.5 + 0.125), abs=1e-12)
     assert report.sqz_excess == pytest.approx(3.375, abs=1e-12)
@@ -98,24 +91,22 @@ def test_unsqueezed_resource_contribution():
 def test_excess_nonnegative():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        report = nl.propagate(nl.ModeMoments.from_state(random_state(rng)),
-                              nl.ModeMoments.from_state(random_state(rng)),
+        report = nl.propagate(random_state(rng), random_state(rng),
                               rng.uniform(0, 1), kappa=rng.uniform(0.2, 2.0))
         assert report.excess >= -1e-9
 
 
 def test_rejects_negative_resource_variance():
     with pytest.raises(InvalidInputError):
-        nl.propagate(vacuum_moments(), vacuum_moments(), -0.1)
+        nl.propagate(vacuum_state(), vacuum_state(), -0.1)
 
 
 def test_ancilla_excess_matches_noise_variance():
     rng = np.random.default_rng(1)
     for _ in range(20):
         state = random_state(rng)
-        moments = nl.ModeMoments.from_state(state)
         for kappa in (1.0, 0.7):
-            report = nl.propagate(vacuum_moments(), moments, 0.0, kappa=kappa)
+            report = nl.propagate(vacuum_state(), state, 0.0, kappa=kappa)
             direct = nl.nonlinear_variance(state, 1.0, kappa=kappa, order=3)
             assert abs(report.ancilla_excess - direct) < 1e-10
 
@@ -124,17 +115,25 @@ def test_noise_operator_sign_structure():
     # conjugating the state flips the p/x^2 covariance and thus the excess
     plus = nl.make_superposition([0.79, 0.61j], 6)
     minus = nl.make_superposition([0.79, -0.61j], 6)
-    ex_plus = nl.ancilla_noise_variance(nl.ModeMoments.from_state(plus), 1.0)
-    ex_minus = nl.ancilla_noise_variance(nl.ModeMoments.from_state(minus), 1.0)
+    ex_plus = nl.propagate(vacuum_state(), plus, 0.0, kappa=1.0).ancilla_excess
+    ex_minus = nl.propagate(vacuum_state(), minus, 0.0, kappa=1.0).ancilla_excess
     assert ex_minus < ex_plus
     assert ex_minus == pytest.approx(
         nl.nonlinear_variance(minus, 1.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("sqz_var, kappa", [(0.0, 1e160), (1e200, 1.0), (0.0, 1e154),
+                                             (1.7e308, 1.0)])
+def test_budget_overflow_is_a_numerical_error(sqz_var, kappa):
+    # 1e160 and 1e200 overflow a float power, 1e154 and 1.7e308 a product or sum
+    with pytest.raises(NumericalError, match="not finite"):
+        nl.propagate(vacuum_state(), vacuum_state(), sqz_var, kappa=kappa)
+
+
 def test_sqz_contribution_vanishes_monotonically():
     schedule = [1.0, 0.5, 0.1, 0.01, 0.001, 0.0]
     contributions = [
-        nl.propagate(vacuum_moments(), vacuum_moments(), v).sqz_excess
+        nl.propagate(vacuum_state(), vacuum_state(), v).sqz_excess
         for v in schedule
     ]
     assert np.all(np.diff(contributions) < 0)
@@ -165,7 +164,7 @@ def test_required_db_rejects_nonpositive_target():
 
 
 def test_report_serialization():
-    report = nl.propagate(vacuum_moments(), vacuum_moments(), 0.25)
+    report = nl.propagate(vacuum_state(), vacuum_state(), 0.25)
     blob = report.to_dict()
     assert set(blob) == {"mean_x_out", "mean_p_out", "var_x_out", "var_p_out",
                          "ideal_var", "ancilla_excess", "sqz_excess", "excess"}

@@ -2,12 +2,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlsqlab as nl
 from nlsqlab import fock, nlsq
 from nlsqlab.errors import DimensionError, InvalidInputError, NumericalError
 
 import oracles
+from strategies import psd_states
 
 
 def random_state(rng, support, dim):
@@ -47,6 +50,18 @@ def test_variance_input_errors():
         nl.noise_moments(nl.QuantumState(1, np.eye(1, dtype=complex)))
     with pytest.raises(InvalidInputError):
         nl.nonlinear_variance(nl.vacuum(6), 1.0, order=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(psd_states(dims=st.integers(2, 8)), st.integers(3, 5))
+def test_noise_moments_match_dense_traces(state, order):
+    mom = nl.noise_moments(state, order)
+    ref = oracles.dense_noise_moments(state.matrix, order)
+    p, p2, xn, xn2, sym = ref
+    derived = ((mom.var_p, p2 - p ** 2), (mom.var_xn, xn2 - xn ** 2),
+               (mom.cov, sym - p * xn))
+    for got, want in (*zip(mom, ref), *derived):
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

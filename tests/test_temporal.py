@@ -341,6 +341,14 @@ def test_trace_input_validation():
         nl.simulate_traces(nl.vacuum(5), fake, 10, PHASES)
 
 
+@pytest.mark.parametrize("phases, message", [
+    ([], "need at least one LO phase"), ([0.0, np.inf], "LO phase inf is not finite"),
+    ([np.nan], "LO phase nan is not finite")], ids=["empty", "inf", "nan"])
+def test_simulate_traces_rejects_bad_phases(phases, message):
+    with pytest.raises(InvalidInputError, match=message):
+        nl.simulate_traces(nl.vacuum(5), default_composite(), 10, phases)
+
+
 def test_traceset_validation():
     with pytest.raises(DimensionError):
         nl.TraceSet(traces=np.zeros((3, 5)), dt=1e-9, phases=np.zeros(2),

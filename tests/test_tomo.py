@@ -128,6 +128,14 @@ def test_sample_requires_events():
         nl.sample(nl.vacuum(5), n_per_phase=0)
 
 
+@pytest.mark.parametrize("phases, message", [
+    ([], "need at least one LO phase"), ([0.0, np.nan], "LO phase nan is not finite"),
+    ([np.inf], "LO phase inf is not finite")], ids=["empty", "nan", "inf"])
+def test_sample_rejects_bad_phases(phases, message):
+    with pytest.raises(InvalidInputError, match=message):
+        nl.sample(nl.vacuum(5), phases=phases, n_per_phase=10)
+
+
 @pytest.mark.parametrize("n", [20, 30, 40])
 def test_sampler_rejects_mass_outside_its_support(n):
     # |n> reaches past x = 8 for n of about 20 and more; the sampler would
@@ -225,6 +233,13 @@ def test_mle_rejects_degenerate_input():
         nl.mle_reconstruct(outside, dim=4)
     with pytest.raises(InvalidInputError):
         nl.bootstrap_error(outside, dim=4, n_resamples=2)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_mle_rejects_impossible_tolerance(tol):
+    ds = nl.sample(nl.vacuum(4), n_per_phase=50, seed=0)
+    with pytest.raises(InvalidInputError, match="tolerance must be finite and >= 0"):
+        nl.mle_reconstruct(ds, dim=4, tol=tol)
 
 
 # ---------------------------------------------------------------------------
