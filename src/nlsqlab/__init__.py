@@ -24,7 +24,6 @@ from .temporal import (MatchedFilter, TemporalMode, TraceSet, composite_mode,
                        simulate_traces, single_pole_mode)
 from .tomo import (BootstrapErrors, MleResult, TomographyDataset,
                    bootstrap_error, mle_reconstruct, oscillator_wavefunctions,
-                   quadrature_pdf, read_dataset_csv, sample, sample_values,
-                   write_dataset_csv)
+                   quadrature_pdf, read_dataset_csv, sample, write_dataset_csv)
 
 __version__ = "0.1.0"

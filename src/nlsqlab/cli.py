@@ -25,7 +25,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-PHASES_DEG = "0,30,60,90,120,150"
+PHASES_DEG = ",".join(f"{math.degrees(p):g}" for p in tomo.DEFAULT_PHASES)
 
 
 def _print_json(obj) -> None:
@@ -101,22 +101,26 @@ def _state_from_options(ns: dict, deg: bool) -> fock.QuantumState:
     return state
 
 
-def _parse_state_spec(spec: str, deg: bool, dim: int | None) -> fock.QuantumState:
-    """Compact one-token state spec: `vacuum`, `fock:N`, `coeffs:c0,c1,...`,
-    or `rho:theta,phi,loss`."""
-    kind, _, rest = spec.partition(":")
+def _parse_state_spec(flag: str, spec: str, deg: bool, dim: int | None) -> fock.QuantumState:
+    """Compact one-token state spec given to `flag`: `vacuum`, `fock:N`,
+    `coeffs:c0,c1,...`, or `rho:theta,phi,loss`."""
+    kind, colon, rest = spec.partition(":")
     ns: dict = {"dim": dim}
-    if kind == "vacuum":
-        ns["vacuum"] = True
-    elif kind == "fock":
-        ns["fock"] = int(rest)
-    elif kind == "coeffs":
-        ns["coeffs"] = rest.split(",")
-    elif kind == "rho":
-        theta, phi, loss = _floats(rest)
-        ns.update(theta=theta, phi=phi, loss=loss)
-    else:
-        raise InvalidInputError(f"unknown state spec {spec!r}")
+    try:
+        if kind == "vacuum" and not colon:
+            ns["vacuum"] = True
+        elif kind == "fock":
+            ns["fock"] = int(rest)
+        elif kind == "coeffs":
+            ns["coeffs"] = [complex(c) for c in rest.split(",")]
+        elif kind == "rho":
+            ns["theta"], ns["phi"], ns["loss"] = _floats(rest)
+        else:
+            raise ValueError
+    except ValueError:
+        raise InvalidInputError(
+            f"{flag} {spec!r}: expected vacuum, fock:N, coeffs:c0,c1,... "
+            "or rho:theta,phi,loss") from None
     return _state_from_options(ns, deg)
 
 
@@ -180,9 +184,14 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.theta_steps < 1:
+        raise InvalidInputError(f"--theta-steps must be at least 1, got {args.theta_steps}")
+    losses = _floats(args.losses)
+    if not losses:
+        raise InvalidInputError(f"--losses {args.losses!r} names no loss")
     thetas = np.linspace(_angle(args.theta_min, args.deg),
                          _angle(args.theta_max, args.deg), args.theta_steps)
-    rows = nlsq.sweep_rows(thetas, _angle(args.phi, args.deg), _floats(args.losses),
+    rows = nlsq.sweep_rows(thetas, _angle(args.phi, args.deg), losses,
                            args.kappa, args.order)
     with _output(args.out) as fh:
         nlsq.write_sweep_csv(rows, fh)
@@ -240,7 +249,11 @@ def cmd_pca(args) -> int:
         ts = temporal.load_traces(fh)
     window = None
     if args.window_ns:
-        lo, hi = _floats(args.window_ns)
+        try:
+            lo, hi = _floats(args.window_ns)
+        except ValueError:
+            raise InvalidInputError(
+                f"--window-ns {args.window_ns!r}: expected two numbers LO,HI") from None
         window = (lo * 1e-9, hi * 1e-9)
     est = temporal.pca_mode_estimate(ts, window=window)
     if args.compare:
@@ -311,7 +324,7 @@ def cmd_pipeline(args) -> int:
     if args.with_traces:
         mode = temporal.composite_mode(temporal.default_gammas(), 0.0, temporal.default_grid())
         filt = temporal.design_matched_filter(mode)
-        phases = [math.radians(d) for d in _floats(PHASES_DEG)]
+        phases = tomo.DEFAULT_PHASES
         n_events = args.trace_events * len(phases)
         ts = temporal.simulate_traces(truth, mode, n_events,
                                       np.repeat(phases, args.trace_events),
@@ -339,8 +352,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_gate_noise(args) -> int:
-    inp = _parse_state_spec(args.input, args.deg, args.dim)
-    anc = _parse_state_spec(args.ancilla, args.deg, args.dim)
+    inp = _parse_state_spec("--input", args.input, args.deg, args.dim)
+    anc = _parse_state_spec("--ancilla", args.ancilla, args.deg, args.dim)
     report = gate.propagate(inp, anc, args.sqz_var, args.kappa)
     _print_json(report.to_dict())
     return EXIT_OK

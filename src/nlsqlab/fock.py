@@ -20,7 +20,9 @@ PSD_TOL = 1e-10
 
 #: Default photon-number cutoff (basis size) for generic states.
 DEFAULT_DIM = 20
-#: Minimum cutoff for which fourth powers of x are exact on 0/1-photon states.
+#: Default cutoff of two-level (0/1-photon) states.  Moments need no more
+#: than two levels (the moment blocks carry their own padding); the value
+#: stays 6 because `herald` prints its density matrix at this size.
 MIN_TWO_LEVEL_DIM = 6
 
 

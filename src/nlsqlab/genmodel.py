@@ -29,14 +29,11 @@ THETA_PHASE_BLIND = 0.05
 
 @dataclass(frozen=True)
 class GenerationParams:
-    """Superposition angle/phase, optical loss, and optionally the raw
-    squeezing and displacement amplitudes they derive from."""
+    """Superposition angle/phase and optical loss."""
 
     theta: float
     phi: float
     loss: float = 0.0
-    q: complex | None = None
-    alpha: complex | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi:
@@ -55,7 +52,7 @@ class GenerationParams:
             raise InvalidInputError("q and alpha cannot both vanish")
         theta = 2.0 * math.atan2(abs(q), abs(alpha))
         phi = math.atan2((q * np.conj(alpha)).imag, (q * np.conj(alpha)).real) if alpha != 0 else 0.0
-        return cls(theta=theta, phi=phi, loss=loss, q=q, alpha=alpha)
+        return cls(theta=theta, phi=phi, loss=loss)
 
 
 def herald(q: complex, alpha: complex, dim: int = MIN_TWO_LEVEL_DIM) -> QuantumState:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -19,6 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DimensionError, InvalidInputError, NumericalError
 from .fock import (QuantumState, apply_loss, loss_adjoint, make_superposition,
                    quadrature_ops)
+from .genmodel import GenerationParams, rho_theta_phi_L
 
 #: The open domain of lambda.  The optimum is a closed form, so nothing
 #: searches this range; the name stays because benchmark tooling reads it to
@@ -83,11 +84,6 @@ def _validate_order(order: int) -> None:
         raise InvalidInputError(f"gate order must be an integer >= 3, got {order}")
 
 
-def _min_dim(order: int) -> int:
-    return 2 * (order - 1) + 2
-
-
-@lru_cache(maxsize=128)
 def _moment_blocks(dim: int, order: int):
     """dim x dim blocks of p, p^2, x^(N-1), x^(2N-2) and {p, x^(N-1)}/2.
 
@@ -97,16 +93,13 @@ def _moment_blocks(dim: int, order: int):
     pad = 2 * (order - 1)
     xm, pm = quadrature_ops(dim + pad)
     xn = np.linalg.matrix_power(xm, order - 1)
-    blocks = (
+    return (
         pm[:dim, :dim],
         (pm @ pm)[:dim, :dim],
         xn[:dim, :dim],
         (xn @ xn)[:dim, :dim],
         ((pm @ xn + xn @ pm) / 2.0)[:dim, :dim],
     )
-    for b in blocks:
-        b.setflags(write=False)
-    return blocks
 
 
 def _real_trace(rho: np.ndarray, block: np.ndarray) -> float:
@@ -412,7 +405,7 @@ def optimize_coefficients(max_photon: int, kappa: float = 1.0, order: int = 3,
     _validate_order(order)
     if max_photon < 0:
         raise InvalidInputError("max photon number must be nonnegative")
-    dim = max(max_photon + 1, _min_dim(order))
+    dim = max(max_photon + 1, 2)
 
     def evaluate(coeffs) -> NlsqResult:
         state = make_superposition(coeffs, dim)
@@ -437,14 +430,11 @@ def sweep_rows(thetas, phi: float, losses, kappa: float = 1.0, order: int = 3) -
 
     Rows are (theta_rad, phi_rad, loss, ratio, db, lambda_opt).
     """
-    from .genmodel import GenerationParams, rho_theta_phi_L
-
-    dim = _min_dim(order)
     rows = []
     for loss in losses:
         for theta in thetas:
             params = GenerationParams(theta=float(theta), phi=float(phi), loss=float(loss))
-            res = optimal_nonlinear_variance(rho_theta_phi_L(params, dim), kappa, order)
+            res = optimal_nonlinear_variance(rho_theta_phi_L(params, 2), kappa, order)
             rows.append((float(theta), float(phi), float(loss),
                          res.ratio, res.db, res.lambda_opt))
     return rows

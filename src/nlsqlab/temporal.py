@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import math
 import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from .errors import (AmbiguityError, DegeneratePoleError, DimensionError,
                      InvalidInputError, NumericalError, TruncationError)
 from .fock import QuantumState
+from .tomo import _draw, _lo_phases
 
 #: Oscilloscope-like defaults: 5 GS/s over a 200 ns frame centered on the
 #: herald (t0 = 0 in frame coordinates).
@@ -100,6 +100,8 @@ class TemporalMode:
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         samples = np.asarray(self.samples, dtype=float).copy()
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(samples))):
+            raise InvalidInputError("mode grid and samples must be finite")
         dt = _grid_step(t)
         if samples.shape != t.shape:
             raise DimensionError("samples and grid must have identical shape")
@@ -126,13 +128,11 @@ class TemporalMode:
                 f"n={self.t.size})")
 
 
-def _captured_norm(gamma_min: float, span: float) -> float:
-    """Share of a packet's norm that a grid reaching `span` before t0 holds."""
-    return 1.0 - math.exp(-gamma_min * span) if span > 0 else 0.0
-
-
 def _check_span(gamma_min: float, t0: float, t: np.ndarray) -> None:
-    captured = _captured_norm(gamma_min, t0 - float(t[0]))
+    """Raise TruncationError unless the grid, reaching t0 - t[0] before t0,
+    holds MIN_CAPTURED_NORM of the packet's norm."""
+    span = t0 - float(t[0])
+    captured = 1.0 - math.exp(-gamma_min * span) if span > 0 else 0.0
     if captured < MIN_CAPTURED_NORM:
         raise TruncationError(
             f"grid captures only {captured:.6f} of the packet norm; extend it "
@@ -142,8 +142,8 @@ def _check_span(gamma_min: float, t0: float, t: np.ndarray) -> None:
 
 def single_pole_mode(gamma: float, t0: float, t) -> TemporalMode:
     """Normalized e^{-gamma (t0-t)/2} Theta(t0-t) on the grid."""
-    if not gamma > 0:
-        raise InvalidInputError(f"decay rate must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise InvalidInputError(f"decay rate must be finite and positive, got {gamma}")
     t = np.asarray(t, dtype=float)
     _grid_step(t)
     _check_span(gamma, t0, t)
@@ -168,33 +168,29 @@ def _distinct(gammas) -> bool:
                    for i, a in enumerate(gammas) for b in gammas[i + 1:])
 
 
-def _composite_samples(gammas, weights, support, tau) -> np.ndarray:
-    """Unnormalized packet sum_n w_n e^{-g_n tau/2} on the grid: `tau` holds
-    t0 - t at the `support` points (tau >= 0); all other points are zero."""
-    packet = np.zeros_like(tau)
-    for g, w in zip(gammas, weights):
-        packet += w * np.exp(-g * tau / 2.0)
-    samples = np.zeros(support.size)
-    samples[support] = packet
-    return samples
-
-
 def composite_mode(gammas, t0: float, t) -> TemporalMode:
     """Three-cavity packet: normalized sum of one-sided exponentials with the
     partial-fraction weights of a cascade of three single-pole responses."""
     gammas = tuple(float(g) for g in gammas)
     if len(gammas) != 3:
         raise InvalidInputError("composite mode takes exactly three decay rates")
-    if any(not g > 0 for g in gammas):
-        raise InvalidInputError("decay rates must be positive")
+    if any(not 0 < g < math.inf for g in gammas):
+        raise InvalidInputError(f"decay rates must be finite and positive, got {gammas}")
     if not _distinct(gammas):
         raise DegeneratePoleError(f"decay rates must be distinct, got {gammas}")
     t = np.asarray(t, dtype=float)
     _grid_step(t)
     _check_span(min(gammas), t0, t)
     weights = composite_weights(gammas)
+    # Exponentials on the tau = t0 - t >= 0 support only: over the whole grid
+    # they double the time of a searched filter design on a fine grid.
     support = t0 - t >= 0
-    samples = _composite_samples(gammas, weights, support, (t0 - t)[support])
+    tau = (t0 - t)[support]
+    packet = np.zeros_like(tau)
+    for g, w in zip(gammas, weights):
+        packet += w * np.exp(-g * tau / 2.0)
+    samples = np.zeros(t.size)
+    samples[support] = packet
     return TemporalMode(gammas, weights, t0, t, samples)
 
 
@@ -221,10 +217,6 @@ class MatchedFilter:
     overlap: float
 
 
-#: Largest argument math.exp takes without overflowing.
-_MAX_EXP_ARG = math.log(sys.float_info.max)
-
-
 def design_matched_filter(target: TemporalMode) -> MatchedFilter:
     """Pick three real pole frequencies whose time-reversed impulse response
     maximizes the overlap with the target packet.
@@ -246,21 +238,17 @@ def design_matched_filter(target: TemporalMode) -> MatchedFilter:
 def _searched_rates(target: TemporalMode) -> tuple[float, float, float]:
     """Decay rates 2*p_n of the best response: one Nelder-Mead search over
     strictly ordered poles (never confluent) from the packet's mean delay.
-    One evaluation scores 1.0 for poles that overflow, are not distinct,
-    leave more than 1 - MIN_CAPTURED_NORM of the packet outside the grid or
-    give a response that vanishes on it.  Otherwise it sums the three
-    weighted exponentials on the tau = t0 - t >= 0 support, computed once
-    per design, and returns minus the squared overlap with the target.
-    Raises NumericalError when the search cannot improve on its start.
+    One evaluation is minus the overlap of the response `composite_mode`
+    builds with the target, or 1.0 for poles it rejects (overflowing, not
+    distinct, leaving more than 1 - MIN_CAPTURED_NORM of the packet outside
+    the grid, or vanishing on it).  Raises NumericalError when the search
+    cannot improve on its start.
     """
     from scipy.optimize import minimize
 
     t, t0, dt = target.t, target.t0, target.dt
     tau_mean = float(np.sum((t0 - t) * target.samples ** 2) * dt)
     rate0 = 1.0 / max(tau_mean, 10.0 * dt)  # effective power decay rate
-    span = t0 - float(t[0])
-    support = t0 - t >= 0
-    tau = (t0 - t)[support]
 
     def rates_from(u):
         p1 = math.exp(u[0])
@@ -269,23 +257,10 @@ def _searched_rates(target: TemporalMode) -> tuple[float, float, float]:
         return 2.0 * p1, 2.0 * p2, 2.0 * p3
 
     def objective(u):
-        if max(u) > _MAX_EXP_ARG:
+        try:
+            return -mode_overlap(composite_mode(rates_from(u), t0, t), target)
+        except (ArithmeticError, InvalidInputError):
             return 1.0
-        gammas = rates_from(u)
-        if (math.isinf(gammas[2]) or not _distinct(gammas)
-                or _captured_norm(min(gammas), span) < MIN_CAPTURED_NORM):
-            return 1.0
-        # The norm and the inner product repeat TemporalMode and
-        # mode_overlap operation for operation, so the poles match a
-        # mode-based design bit for bit.  The sums run over the whole grid
-        # because pairwise summation groups terms by the array length.
-        samples = _composite_samples(gammas, composite_weights(gammas),
-                                     support, tau)
-        norm = math.sqrt(float(np.sum(samples ** 2)) * dt)
-        if norm == 0.0:
-            return 1.0
-        inner = float(np.sum(samples / norm * target.samples) * dt)
-        return -min(inner ** 2, 1.0)
 
     u0 = np.array([math.log(rate0 / 2.0), math.log(3.0), math.log(2.0)])
     res = minimize(objective, u0, method="Nelder-Mead",
@@ -351,8 +326,6 @@ def simulate_traces(state: QuantumState, mode: TemporalMode, n_events: int,
     the grid, with its component along f removed.  Integrating a trace
     against f therefore returns exactly the drawn quadrature sample.
     """
-    from .tomo import _cdf_table, _lo_phases
-
     if n_events < 1:
         raise InvalidInputError("need at least one event")
     f = mode.samples
@@ -364,12 +337,7 @@ def simulate_traces(state: QuantumState, mode: TemporalMode, n_events: int,
     ss = np.random.SeedSequence(seed)
     rng_q, rng_noise = (np.random.default_rng(c) for c in ss.spawn(2))
 
-    u = rng_q.random(n_events)
-    q = np.empty(n_events)
-    for phase in np.unique(phase_per_event):
-        idx = np.flatnonzero(phase_per_event == phase)
-        x_grid, cdf = _cdf_table(state, float(phase))
-        q[idx] = np.interp(u[idx], cdf, x_grid)
+    q = _draw(state, phase_per_event, rng_q.random(n_events))
 
     # One block of rows at a time: the Generator fills a block with the next
     # values of its stream, so the float32 result does not depend on _CHUNK.

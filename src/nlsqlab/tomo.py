@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, TruncationError
 from .fock import QuantumState
+from .nlsq import nlsq_db
 
 DEFAULT_PHASES = tuple(np.deg2rad([0.0, 30.0, 60.0, 90.0, 120.0, 150.0]))
 DEFAULT_EVENTS_PER_PHASE = 21000
@@ -133,11 +134,16 @@ def _lo_phases(phases) -> np.ndarray:
     return arr
 
 
-def sample_values(state: QuantumState, phase: float, n: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws from the quadrature distribution at one phase."""
-    x, cdf = _cdf_table(state, phase)
-    return np.interp(rng.random(n), cdf, x)
+def _draw(state: QuantumState, phases: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF quadrature samples: uniform u[i] mapped through the
+    state's quadrature CDF at LO phase phases[i], one table per distinct
+    phase."""
+    q = np.empty(u.size)
+    for phase in np.unique(phases):
+        idx = np.flatnonzero(phases == phase)
+        x, cdf = _cdf_table(state, float(phase))
+        q[idx] = np.interp(u[idx], cdf, x)
+    return q
 
 
 def sample(state: QuantumState, phases=DEFAULT_PHASES,
@@ -149,16 +155,11 @@ def sample(state: QuantumState, phases=DEFAULT_PHASES,
     """
     if n_per_phase < 1:
         raise InvalidInputError("n_per_phase must be at least 1")
-    phases = _lo_phases(phases).tolist()
-    children = np.random.SeedSequence(seed).spawn(len(phases))
-    all_phases = []
-    all_values = []
-    for phase, child in zip(phases, children):
-        rng = np.random.default_rng(child)
-        all_phases.append(np.full(n_per_phase, phase))
-        all_values.append(sample_values(state, phase, n_per_phase, rng))
-    return TomographyDataset(phases=np.concatenate(all_phases),
-                             values=np.concatenate(all_values))
+    phases = _lo_phases(phases)
+    children = np.random.SeedSequence(seed).spawn(phases.size)
+    u = np.concatenate([np.random.default_rng(c).random(n_per_phase) for c in children])
+    per_sample = np.repeat(phases, n_per_phase)
+    return TomographyDataset(phases=per_sample, values=_draw(state, per_sample, u))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +322,6 @@ def bootstrap_error(data: TomographyDataset, dim: int = 5, n_resamples: int = 50
     samples it draws, and is reconstructed as `mle_reconstruct` would with
     its default binning and stopping rule.
     """
-    from .nlsq import nlsq_db
-
     if n_resamples < 2:
         raise InvalidInputError("need at least 2 resamples")
     P, cell = _binned(data, dim, MLE_BINS, MLE_SUPPORT, MLE_SUBDIV)

@@ -238,6 +238,19 @@ def test_sweep_writes_loadable_csv(tmp_path, capsys):
                                      "db", "lambda_opt"}
 
 
+@pytest.mark.parametrize("flags, flag", [(["--theta-steps", "0"], "--theta-steps"),
+                                         (["--theta-steps=-3"], "--theta-steps"),
+                                         (["--losses", ","], "--losses"),
+                                         (["--losses="], "--losses")],
+                         ids=["zero-steps", "negative-steps", "comma-losses", "empty-losses"])
+def test_empty_sweep_is_a_usage_error(tmp_path, capsys, flags, flag):
+    out_file = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, "sweep", *flags, "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(f"error: {flag}")
+    assert not out_file.exists()
+
+
 def test_sweep_unwritable_path(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--theta-steps", "3",
                          "--out", "/nonexistent-dir/sweep.csv")
@@ -327,6 +340,19 @@ def test_mode_and_filter_design(tmp_path, capsys):
     assert run_cli(capsys, "filter-design", "--seed", "0")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [["mode", "--gamma", "inf"],
+                                  ["mode", "--gammas", "inf,2e8,3e8"],
+                                  ["filter-design", "--gammas", "1e308,2e308,3e8"]],
+                         ids=["mode-gamma", "mode-gammas", "filter-design"])
+def test_nonfinite_decay_rates_are_usage_errors(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith("error: decay rate")
+    assert "finite" in err
+
+
 def test_traces_pca_chain(tmp_path, capsys):
     traces = tmp_path / "photon.bin"
     code, _, _ = run_cli(capsys, "traces", "--fock", "1", "--events", "2000",
@@ -355,6 +381,27 @@ def test_gate_noise_specs(capsys):
     code, out, _ = run_cli(capsys, "gate-noise", "--input", "rho:1.0,4.0,0.2",
                            "--ancilla", "fock:1", "--sqz-var", "0")
     assert code == 0
+
+
+@pytest.mark.parametrize("flag, spec", [
+    ("--input", "rho:1,2"), ("--input", "rho:1,2,3,4"), ("--input", "fock:"),
+    ("--input", "vacuum:3"), ("--ancilla", "coeffs:"), ("--ancilla", "fock:x"),
+    ("--ancilla", "mystery:1")])
+def test_gate_noise_names_a_malformed_spec(capsys, flag, spec):
+    code, out, err = run_cli(capsys, "gate-noise", flag, spec)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(f"error: {flag} {spec!r}: expected vacuum")
+
+
+@pytest.mark.parametrize("window", ["5", "1,2,3", "a,b", ","])
+def test_pca_names_a_malformed_window(tmp_path, capsys, window):
+    traces = tmp_path / "tiny.bin"
+    with open(traces, "wb") as fh:
+        nl.save_traces(nl.TraceSet(np.zeros((2, 3)), 1e-9, np.zeros(2), np.zeros(3)), fh)
+    code, out, err = run_cli(capsys, "pca", "--in", str(traces), f"--window-ns={window}")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (f"error: --window-ns {window!r}: "
+                                    "expected two numbers LO,HI")
 
 
 @pytest.mark.parametrize("argv", [["nlsq", "--vacuum"], ["gate-noise", "--ancilla", "vacuum"]],

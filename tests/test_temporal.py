@@ -2,6 +2,7 @@ import io
 import struct
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,29 @@ def test_grid_must_increase():
         nl.single_pole_mode(4e8, 0.0, grid[::-1])
     with pytest.raises(InvalidInputError, match="increasing"):
         nl.single_pole_mode(4e8, 0.0, np.zeros(5))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nonfinite_decay_rates_rejected(bad):
+    t = nl.default_grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="finite"):
+            nl.single_pole_mode(bad, 0.0, t)
+        with pytest.raises(InvalidInputError, match="finite"):
+            nl.composite_mode((bad, 2e8, 3e8), 0.0, t)
+
+
+@pytest.mark.parametrize("field", ["t", "samples"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_temporal_mode_rejects_nonfinite_points(field, bad):
+    m = default_composite()
+    parts = {"t": m.t.copy(), "samples": m.samples.copy()}
+    parts[field][0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="finite"):
+            nl.TemporalMode(m.decay_rates, m.weights, m.t0, parts["t"], parts["samples"])
 
 
 def test_composite_weights_hand_value():
