@@ -329,11 +329,10 @@ def cmd_pipeline(args) -> int:
         ts = temporal.simulate_traces(truth, mode, n_events,
                                       np.repeat(phases, args.trace_events),
                                       seed=args.seed + 1)
-        # realtime_vs_postprocess would project the traces onto the filter
-        # response a second time; the reconstruction below needs q_rt too.
-        q_rt = temporal.mode_quadratures(ts, filt.response)
-        corr = temporal._correlations_by_phase(
-            ts.phases, temporal.mode_quadratures(ts, mode), q_rt)
+        # One pass projects onto both weightings; realtime_vs_postprocess
+        # would discard q_rt, which the reconstruction below needs.
+        q_pp, q_rt = temporal._project(ts, mode, filt.response).T
+        corr = temporal._correlations_by_phase(ts.phases, q_pp, q_rt)
         rt_ds = tomo.TomographyDataset(phases=ts.phases, values=q_rt)
         rt_mle = tomo.mle_reconstruct(rt_ds, dim=dim)
         rt_result = nlsq.optimal_nonlinear_variance(rt_mle.state, kappa, order)

@@ -77,9 +77,15 @@ def make_superposition(coeffs, dim: int) -> QuantumState:
         raise DimensionError(
             f"need dim > max photon number: got {c.size - 1} photons at dim={dim}"
         )
-    norm = np.linalg.norm(c)
-    if norm == 0.0:
+    # Divided first by the smallest power of two above the largest real or
+    # imaginary part, so that the norm cannot overflow.  The division is
+    # exact, so the state does not depend on it.
+    parts = c.view(float)
+    largest = np.max(np.abs(parts))
+    if largest == 0.0:
         raise InvalidInputError("all-zero coefficient vector")
+    c = np.ldexp(parts, -math.frexp(largest)[1]).view(complex)
+    norm = np.linalg.norm(c)
     psi = np.zeros(dim, dtype=complex)
     psi[: c.size] = c / norm
     return QuantumState(dim, np.outer(psi, psi.conj()))

@@ -36,8 +36,9 @@ DEFAULT_CAVITY_HWHM_HZ = (33.7e6, 140.1e6, 90.9e6)
 
 MIN_CAPTURED_NORM = 0.999
 MIN_PCA_EVENTS = 1000
-#: Trace rows that simulation and projection handle at a time in float64;
-#: one block (1 MB on the default grid) stays in cache between its steps.
+#: Trace rows that simulation and projection handle at a time; on the
+#: default grid a float32 block (0.5 MB) and its float64 cast (1 MB) stay in
+#: cache between their steps.
 _CHUNK = 128
 #: PCA's block Lanczos: the residual bar, relative to the largest |Ritz
 #: value|; how many blocks it adds between residual tests; and how many
@@ -153,13 +154,16 @@ def single_pole_mode(gamma: float, t0: float, t) -> TemporalMode:
 
 
 def composite_weights(gammas) -> tuple[float, float, float]:
-    """c1 = 1/((g2-g1)(g3-g1)) and cyclic permutations."""
+    """c1 = 1/((g2-g1)(g3-g1)) and cyclic permutations.  Raises
+    InvalidInputError when a product of rate differences underflows, so
+    that its weight would not be finite."""
     g1, g2, g3 = (float(g) for g in gammas)
-    return (
-        1.0 / ((g2 - g1) * (g3 - g1)),
-        1.0 / ((g3 - g2) * (g1 - g2)),
-        1.0 / ((g1 - g3) * (g2 - g3)),
-    )
+    products = ((g2 - g1) * (g3 - g1), (g3 - g2) * (g1 - g2), (g1 - g3) * (g2 - g3))
+    weights = tuple(1.0 / p if p else math.inf for p in products)
+    if not all(map(math.isfinite, weights)):
+        raise InvalidInputError(f"decay rates {(g1, g2, g3)}: a product of their "
+                                "differences underflows, so their weights are not finite")
+    return weights
 
 
 def _distinct(gammas) -> bool:
@@ -323,8 +327,11 @@ def simulate_traces(state: QuantumState, mode: TemporalMode, n_events: int,
 
     q is drawn from the state's quadrature distribution at each trace's LO
     phase; the additive noise is white with the vacuum variance per mode on
-    the grid, with its component along f removed.  Integrating a trace
-    against f therefore returns exactly the drawn quadrature sample.
+    the grid, with its component along f removed.  The noise is drawn as
+    float32 normals straight into the float32 result, one block of rows at
+    a time, and each row then has its float64 projection on f, minus q,
+    subtracted along f once.  Integrating a trace against f therefore gives
+    back the drawn quadrature sample up to float32 round-off.
     """
     if n_events < 1:
         raise InvalidInputError("need at least one event")
@@ -340,13 +347,16 @@ def simulate_traces(state: QuantumState, mode: TemporalMode, n_events: int,
     q = _draw(state, phase_per_event, rng_q.random(n_events))
 
     # One block of rows at a time: the Generator fills a block with the next
-    # values of its stream, so the float32 result does not depend on _CHUNK.
+    # values of its stream, so the result does not depend on _CHUNK.
+    scale = np.float32(1.0 / math.sqrt(2.0 * dt))
+    f32 = f.astype(np.float32)
     traces = np.empty((n_events, f.size), dtype=np.float32)
     for start in range(0, n_events, _CHUNK):
         rows = slice(start, start + _CHUNK)
-        noise = rng_noise.standard_normal(traces[rows].shape) / math.sqrt(2.0 * dt)
-        noise -= np.outer(noise @ f * dt, f)
-        traces[rows] = np.outer(q[rows], f) + noise
+        block = traces[rows]
+        rng_noise.standard_normal(block.shape, dtype=np.float32, out=block)
+        block *= scale
+        block -= np.outer((block @ f * dt - q[rows]).astype(np.float32), f32)
     return TraceSet(traces=traces, dt=dt, phases=phase_per_event, t=mode.t)
 
 
@@ -456,25 +466,35 @@ def _top_two_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = hi, hi + grow
 
 
-def mode_quadratures(traces: TraceSet, mode: TemporalMode) -> np.ndarray:
-    """Mode-weighted integral sum_t x(t) f(t) dt of every trace: its
-    quadrature in `mode`.  Rows are cast to float64 one block at a time, so
-    the products accumulate in float64 without a float64 copy of the set."""
-    if mode.t.shape != traces.t.shape or not np.allclose(mode.t, traces.t, rtol=0, atol=1e-15):
-        raise DimensionError("mode grid must match the trace grid")
-    out = np.empty(traces.n_events)
+def _project(traces: TraceSet, *modes: TemporalMode) -> np.ndarray:
+    """Quadratures sum_t x(t) m(t) dt of every trace in each of the k
+    `modes`, as an (n_events, k) array: one pass over the traces against the
+    (n_bins, k) matrix of mode samples.  Rows are cast to float64 one block
+    at a time, once for all k modes, so the products accumulate in float64
+    without a float64 copy of the set."""
+    for mode in modes:
+        if mode.t.shape != traces.t.shape or not np.allclose(mode.t, traces.t, rtol=0, atol=1e-15):
+            raise DimensionError("mode grid must match the trace grid")
+    matrix = np.column_stack([mode.samples for mode in modes])
+    out = np.empty((traces.n_events, len(modes)))
     for start in range(0, traces.n_events, _CHUNK):
         rows = slice(start, start + _CHUNK)
-        out[rows] = traces.traces[rows].astype(np.float64) @ mode.samples
+        out[rows] = traces.traces[rows].astype(np.float64) @ matrix
     return out * traces.dt
+
+
+def mode_quadratures(traces: TraceSet, mode: TemporalMode) -> np.ndarray:
+    """Mode-weighted integral sum_t x(t) f(t) dt of every trace: its
+    quadrature in `mode`, accumulated in float64 (see `_project`)."""
+    return _project(traces, mode)[:, 0]
 
 
 def realtime_vs_postprocess(traces: TraceSet, filt, mode: TemporalMode) -> dict:
     """Pearson correlation, per LO phase, between the digital mode-weighted
-    integral and the filtered signal sampled at the herald time."""
+    integral and the filtered signal sampled at the herald time; both come
+    from one pass over the traces."""
     response = filt.response if isinstance(filt, MatchedFilter) else filt
-    return _correlations_by_phase(traces.phases, mode_quadratures(traces, mode),
-                                  mode_quadratures(traces, response))
+    return _correlations_by_phase(traces.phases, *_project(traces, mode, response).T)
 
 
 def _correlations_by_phase(phases: np.ndarray, q_pp: np.ndarray,

@@ -203,13 +203,14 @@ def mle_einsum(phases, values, dim, max_iters=2000, tol=1e-9, n_bins=256,
     return rho, iters, np.asarray(trace), converged, tuple(warnings)
 
 
-# --- homodyne traces, one-shot float64 reference -----------------------------
+# --- homodyne traces, one-shot reference -------------------------------------
 
 def traces_one_shot(quadrature_cdf, f, dt, n_events, phases, seed):
-    """Homodyne records q*f(t) + vacuum noise orthogonal to f, simulated in
-    float64 with all noise drawn in one call.  `quadrature_cdf(phase)` gives
-    the (x, cdf) table the quadratures are drawn from by inverse transform.
-    Returns the float64 traces (n_events, f.size)."""
+    """Homodyne records q*f(t) + vacuum noise orthogonal to f, with all the
+    float32 noise drawn in one call.  `quadrature_cdf(phase)` gives the
+    (x, cdf) table the quadratures are drawn from by inverse transform.
+    Each row's float64 projection on f, minus q, is removed along f in
+    float32.  Returns the float32 traces (n_events, f.size)."""
     phase_per_event = np.resize(np.asarray(phases, dtype=float), n_events)
     rng_q, rng_noise = (np.random.default_rng(c)
                         for c in np.random.SeedSequence(seed).spawn(2))
@@ -219,9 +220,10 @@ def traces_one_shot(quadrature_cdf, f, dt, n_events, phases, seed):
         idx = np.flatnonzero(phase_per_event == phase)
         x, cdf = quadrature_cdf(float(phase))
         q[idx] = np.interp(u[idx], cdf, x)
-    noise = rng_noise.standard_normal((n_events, f.size)) / np.sqrt(2.0 * dt)
-    noise -= np.outer(noise @ f * dt, f)
-    return np.outer(q, f) + noise
+    x = rng_noise.standard_normal((n_events, f.size), dtype=np.float32)
+    x *= np.float32(1.0 / np.sqrt(2.0 * dt))
+    coef = x @ f * dt - q
+    return x - np.outer(coef.astype(np.float32), f.astype(np.float32))
 
 
 # --- population above a photon-number cutoff ---------------------------------

@@ -60,6 +60,15 @@ def test_nlsq_coeffs(capsys):
     assert json.loads(out)["ratio"] == pytest.approx(0.7168, abs=5e-4)
 
 
+def test_nlsq_coeffs_near_overflow(capsys):
+    # The norm of (1e308, 1) overflows unless the coefficients are scaled
+    # first; the state is |0> to double precision.
+    code, out, err = run_cli(capsys, "nlsq", "--coeffs", "1e308", "1")
+    assert code == 0
+    assert err.startswith("ratio=")
+    assert json.loads(out)["ratio"] == pytest.approx(1.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -353,6 +362,15 @@ def test_nonfinite_decay_rates_are_usage_errors(capsys, argv):
     assert "finite" in err
 
 
+def test_underflowing_rate_differences_are_usage_errors(capsys):
+    # Finite, positive and distinct, but (g2 - g1)(g3 - g1) underflows to 0.
+    code, out, err = run_cli(capsys, "mode", "--gammas", "1e-200,2e-200,3e-200",
+                             "--frame-ns", "1e300", "--dt-ns", "1e299")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith("error: decay rates")
+    assert "underflows" in err
+
+
 def test_traces_pca_chain(tmp_path, capsys):
     traces = tmp_path / "photon.bin"
     code, _, _ = run_cli(capsys, "traces", "--fock", "1", "--events", "2000",
@@ -443,17 +461,18 @@ def test_pipeline_small_deterministic(tmp_path, capsys):
 
 def test_pipeline_projects_each_weighting_once(monkeypatch, capsys):
     calls = []
-    real = nl.temporal.mode_quadratures
+    real = nl.temporal._project
 
-    def counting(traces, mode):
-        calls.append(mode)
-        return real(traces, mode)
+    def counting(traces, *modes):
+        calls.append(modes)
+        return real(traces, *modes)
 
-    monkeypatch.setattr(nl.temporal, "mode_quadratures", counting)
+    monkeypatch.setattr(nl.temporal, "_project", counting)
     code, _, _ = run_cli(capsys, "pipeline", "--n-per-phase", "300",
                          "--trace-events", "200")
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 1  # one pass over the traces
+    assert len(calls[0]) == 2  # the mode and the filter response
 
 
 def test_pipeline_default_scale_accuracy(tmp_path, capsys):

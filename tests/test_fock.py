@@ -60,6 +60,14 @@ def test_hand_normalized_pair():
     assert state.matrix[1, 1].real == pytest.approx(16.0 / 25.0, abs=1e-14)
 
 
+def test_superposition_of_huge_coefficients():
+    # |psi|^2 of (1e308, 1e308j) overflows; scaled first, it is 1/2 each.
+    state = nl.make_superposition([1e308, 1e308j], 5)
+    assert state.matrix[0, 0].real == pytest.approx(0.5, abs=1e-15)
+    assert state.matrix[0, 1] == pytest.approx(-0.5j, abs=1e-15)
+    assert nl.make_superposition([1e308, 1], 5).matrix[0, 0].real == 1.0
+
+
 def test_superposition_errors():
     with pytest.raises(InvalidInputError):
         nl.make_superposition([0.0, 0.0], 5)
