@@ -8,10 +8,10 @@ from .errors import (AmbiguityError, DegeneratePoleError, DimensionError,
 from .fock import (QuantumState, apply_loss, coherent_state, displace,
                    fidelity, fock_state, make_superposition, quadrature_ops,
                    squeezed_vacuum, state_from_json, state_to_json, vacuum,
-                   wigner, wigner_to_csv)
+                   wigner)
 from .gate import GateNoiseReport, propagate, required_ancilla_db
 from .genmodel import (FitResult, GenerationParams, count_rate_ratio, fit_phi_L,
-                       herald, rho_theta_phi_L, write_fit_sweep_csv)
+                       herald, rho_theta_phi_L)
 from .nlsq import (NlsqResult, kappa_rescale, nlsq_db, noise_moments,
                    nonlinear_variance, optimal_nonlinear_variance,
                    optimize_coefficients, sweep_rows, vacuum_optimum,

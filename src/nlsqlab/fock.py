@@ -286,14 +286,3 @@ def state_from_json(obj: dict) -> QuantumState:
     if re.size != dim * dim or im.size != dim * dim:
         raise InvalidInputError("re/im arrays do not match dim*dim")
     return QuantumState(dim, (re + 1j * im).reshape(dim, dim))
-
-
-def wigner_to_csv(xs, ps, w, fh) -> None:
-    """Write a Wigner field as CSV rows `x,p,w` (header included)."""
-    xs = np.asarray(xs, dtype=float).ravel()
-    ps = np.asarray(ps, dtype=float).ravel()
-    w = np.asarray(w, dtype=float)
-    fh.write("x,p,w\n")
-    for i, x in enumerate(xs):
-        for j, p in enumerate(ps):
-            fh.write(f"{float(x)!r},{float(p)!r},{float(w[i, j])!r}\n")

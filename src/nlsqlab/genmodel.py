@@ -177,15 +177,3 @@ def count_rate_ratio(theta: float) -> float:
     if s2 == 0.0:
         return math.inf
     return 1.0 / s2
-
-
-def write_fit_sweep_csv(rows, fh) -> None:
-    """CSV rows `theta_rad,phi_fit,L_fit,residual`, the fitted phase
-    unwrapped for branch continuity across the sweep."""
-    rows = [tuple(map(float, r)) for r in rows]
-    phis = [r[1] for r in rows]
-    if len(phis) > 1:
-        phis = list(np.unwrap(phis))
-    fh.write("theta_rad,phi_fit,L_fit,residual\n")
-    for (theta, _, loss, residual), phi in zip(rows, phis):
-        fh.write(f"{theta!r},{float(phi)!r},{loss!r},{residual!r}\n")

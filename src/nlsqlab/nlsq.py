@@ -271,14 +271,44 @@ def _noise_terms(blocks, kappa: float, order: int):
              np.stack([a * a * bp2, b * b * bxn2, -2.0 * a * b * bsym])))
 
 
-def _power_sum(terms, s: float, derivative: int = 0) -> np.ndarray:
+def _power_sum(terms, s, derivative: int = 0) -> np.ndarray:
+    """sum_k k^derivative e^(k s) A_k; a column of n values of s gives the
+    (n, d, d) stack of the sums."""
     powers, stack = terms
     return np.tensordot(powers ** derivative * np.exp(powers * s), stack, axes=1)
 
 
 def _shifted_square(y, y2, t):
+    """Y^2 - 2 t Y + t^2, for one t or a stack of them that broadcasts
+    against the leading axes of Y.  t^2 is added on the diagonal alone: on
+    the (n, n, d, d) stack of `_ancilla_grid` at d = 11, adding t^2 times a
+    full identity made this four times slower."""
     t = np.asarray(t, dtype=float)[..., None, None]
-    return y2 - 2.0 * t * y + t * t * np.eye(len(y))
+    h = (-2.0 * t) * y
+    h += y2
+    diag = np.arange(y.shape[-1])
+    h[..., diag, diag] += (t * t)[..., 0]
+    return h
+
+
+def _ancilla_grid(y_terms, y2_terms):
+    """(log lambda values, m grid, lowest eigenvalues) of the start grid of
+    `_optimal_ancilla`.
+
+    Row i holds lambda_vac e^(s_i), s_i geometric over +-log
+    ANCILLA_LAMBDA_SPAN, and ANCILLA_GRID_POINTS values of m spanning the
+    spectrum of P Y P at that lambda.  Y and Y^2 come as one (n, d, d) stack
+    each, and each eigenvalue set from one batched eigvalsh call: on the
+    (n, d, d) stack of Y, then on the (n, n, d, d) stack of shifted squares.
+    """
+    n = ANCILLA_GRID_POINTS
+    log_lams = np.linspace(-math.log(ANCILLA_LAMBDA_SPAN), math.log(ANCILLA_LAMBDA_SPAN), n)
+    y = _power_sum(y_terms, log_lams[:, None])
+    y2 = _power_sum(y2_terms, log_lams[:, None])
+    spectra = np.linalg.eigvalsh(y)
+    ms = np.linspace(spectra[:, 0], spectra[:, -1], n, axis=1)
+    vals = np.linalg.eigvalsh(_shifted_square(y[:, None], y2[:, None], ms))[..., 0]
+    return log_lams, ms, vals
 
 
 def _lowest_eigenvalue_derivatives(y_terms, y2_terms, u):
@@ -350,25 +380,17 @@ def _optimal_ancilla(max_photon: int, kappa: float, order: int,
     onto the first M + 1 levels; the padded moment blocks make P Y P and
     P Y^2 P exact.  Under loss, Tr[E(rho) O] = Tr[rho E^dag(O)], so the
     blocks go through the adjoint channel first.  The lowest eigenvalue need
-    not be convex in (lambda, m): every local minimum of a grid is refined
-    by damped Newton steps in (log lambda, m), with the exact gradient and
-    Hessian of that eigenvalue, and the lowest refinement wins.
+    not be convex in (lambda, m).  The start grid in (lambda, m) is scored by
+    two batched eigvalsh calls (`_ancilla_grid`); every local minimum of it
+    is refined by damped Newton steps in (log lambda, m), with the exact
+    gradient and Hessian of that eigenvalue, and the lowest refinement wins.
     """
     blocks = _moment_blocks(max_photon + 1, order)
     if loss is not None:
         blocks = tuple(loss_adjoint(b, loss) for b in blocks)
     y_terms, y2_terms = _noise_terms(blocks, kappa, order)
 
-    n = ANCILLA_GRID_POINTS
-    log_lams = np.linspace(-math.log(ANCILLA_LAMBDA_SPAN), math.log(ANCILLA_LAMBDA_SPAN), n)
-    ms = np.empty((n, n))
-    vals = np.empty((n, n))
-    for i, s in enumerate(log_lams):
-        y, y2 = _power_sum(y_terms, s), _power_sum(y2_terms, s)
-        spectrum = np.linalg.eigvalsh(y)
-        ms[i] = np.linspace(spectrum[0], spectrum[-1], n)
-        vals[i] = np.linalg.eigvalsh(_shifted_square(y, y2, ms[i]))[:, 0]
-
+    log_lams, ms, vals = _ancilla_grid(y_terms, y2_terms)
     evaluate = partial(_lowest_eigenvalue_derivatives, y_terms, y2_terms)
     # grid points no larger than any of their 8 neighbours
     windows = sliding_window_view(np.pad(vals, 1, constant_values=np.inf), (3, 3))

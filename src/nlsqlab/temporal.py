@@ -70,8 +70,23 @@ def default_grid(frame: float = DEFAULT_FRAME, dt: float = DEFAULT_DT,
     return center + (np.arange(n) - (n - 1) / 2.0) * dt
 
 
-def _grid_step(t: np.ndarray) -> float:
+class _CheckedGrid(bytes):
+    """The bytes of a time grid that `_grid` has checked.  An array over
+    them is read-only for good, so it stays checked."""
+
+
+def _grid(t) -> np.ndarray:
+    """t as a finite, increasing, uniform, read-only float64 grid.
+
+    The grid of a mode (an array `_grid` returned) comes back as it is, with
+    no copy and no second check; any other array, a read-only view of a
+    mode's grid included, is checked and copied.
+    """
+    if type(getattr(t, "base", None)) is _CheckedGrid:
+        return t
     t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise InvalidInputError("time grid must be finite")
     if t.ndim != 1 or t.size < 2:
         raise InvalidInputError("time grid must be a 1-D array with >= 2 points")
     steps = np.diff(t)
@@ -80,7 +95,7 @@ def _grid_step(t: np.ndarray) -> float:
         raise InvalidInputError(f"time grid must be increasing, got step {dt}")
     if not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
         raise InvalidInputError("time grid must be uniform")
-    return float(dt)
+    return np.frombuffer(_CheckedGrid(t.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -99,11 +114,11 @@ class TemporalMode:
     samples: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
+        t = _grid(self.t)
         samples = np.asarray(self.samples, dtype=float).copy()
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(samples))):
-            raise InvalidInputError("mode grid and samples must be finite")
-        dt = _grid_step(t)
+        if not np.all(np.isfinite(samples)):
+            raise InvalidInputError("mode samples must be finite")
+        dt = float(t[1] - t[0])
         if samples.shape != t.shape:
             raise DimensionError("samples and grid must have identical shape")
         if np.any(np.abs(samples[t > self.t0 + dt * 1e-9]) > 0):
@@ -112,8 +127,6 @@ class TemporalMode:
         if norm == 0.0:
             raise InvalidInputError("mode has zero norm on the grid")
         samples /= norm
-        t = t.copy()
-        t.setflags(write=False)
         samples.setflags(write=False)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "samples", samples)
@@ -145,8 +158,7 @@ def single_pole_mode(gamma: float, t0: float, t) -> TemporalMode:
     """Normalized e^{-gamma (t0-t)/2} Theta(t0-t) on the grid."""
     if not 0 < gamma < math.inf:
         raise InvalidInputError(f"decay rate must be finite and positive, got {gamma}")
-    t = np.asarray(t, dtype=float)
-    _grid_step(t)
+    t = _grid(t)
     _check_span(gamma, t0, t)
     tau = t0 - t
     samples = np.where(tau >= 0, np.exp(-gamma * np.clip(tau, 0, None) / 2.0), 0.0)
@@ -182,8 +194,7 @@ def composite_mode(gammas, t0: float, t) -> TemporalMode:
         raise InvalidInputError(f"decay rates must be finite and positive, got {gammas}")
     if not _distinct(gammas):
         raise DegeneratePoleError(f"decay rates must be distinct, got {gammas}")
-    t = np.asarray(t, dtype=float)
-    _grid_step(t)
+    t = _grid(t)
     _check_span(min(gammas), t0, t)
     weights = composite_weights(gammas)
     # Exponentials on the tau = t0 - t >= 0 support only: over the whole grid
@@ -199,8 +210,11 @@ def composite_mode(gammas, t0: float, t) -> TemporalMode:
 
 
 def mode_overlap(a: TemporalMode, b: TemporalMode) -> float:
-    """Squared normalized inner product |<a|b>|^2 of two modes on one grid."""
-    if a.t.shape != b.t.shape or not np.allclose(a.t, b.t, rtol=0, atol=1e-15):
+    """Squared normalized inner product |<a|b>|^2 of two modes on one grid.
+    Modes that share one grid array, as a filter and the target it was
+    designed on do, skip the comparison of the grids."""
+    if a.t is not b.t and (a.t.shape != b.t.shape
+                           or not np.allclose(a.t, b.t, rtol=0, atol=1e-15)):
         raise DimensionError("modes live on different time grids")
     inner = float(np.sum(a.samples * b.samples) * a.dt)
     return min(inner ** 2, 1.0)

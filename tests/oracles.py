@@ -203,6 +203,35 @@ def mle_einsum(phases, values, dim, max_iters=2000, tol=1e-9, n_bins=256,
     return rho, iters, np.asarray(trace), converged, tuple(warnings)
 
 
+# --- ancilla start grid, one lambda at a time ---------------------------------
+
+def ancilla_grid_per_lambda(y_terms, y2_terms, n=33, span=4.0):
+    """(log lambdas, m grid, lowest eigenvalues) of the ancilla search's
+    start grid, one lambda per loop step.  Each term set is (powers k,
+    blocks A_k) of sum_k e^(k s) A_k; row i takes n values of m across the
+    spectrum of Y at s_i and the lowest eigenvalue of Y^2 - 2 m Y + m^2."""
+    log_lams = np.linspace(-math.log(span), math.log(span), n)
+    ms = np.empty((n, n))
+    vals = np.empty((n, n))
+    for i, s in enumerate(log_lams):
+        y, y2 = (np.tensordot(np.exp(k * s), a, axes=1) for k, a in (y_terms, y2_terms))
+        spectrum = np.linalg.eigvalsh(y)
+        ms[i] = np.linspace(spectrum[0], spectrum[-1], n)
+        eye = np.eye(len(y))
+        vals[i] = [np.linalg.eigvalsh(y2 - 2.0 * m * y + m * m * eye)[0] for m in ms[i]]
+    return log_lams, ms, vals
+
+
+def grid_local_minima(vals):
+    """Cells (i, j) of a 2-D grid no larger than any of their up to 8
+    neighbours, in row-major order."""
+    rows, cols = vals.shape
+    return [(i, j) for i in range(rows) for j in range(cols)
+            if all(vals[i, j] <= vals[a, b]
+                   for a in range(max(i - 1, 0), min(i + 2, rows))
+                   for b in range(max(j - 1, 0), min(j + 2, cols)))]
+
+
 # --- homodyne traces, one-shot reference -------------------------------------
 
 def traces_one_shot(quadrature_cdf, f, dt, n_events, phases, seed):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import nlsqlab as nl
-from nlsqlab.cli import build_parser, main
+from nlsqlab.cli import build_parser, cmd_gate_noise, main
 
 
 def run_cli(capsys, *argv):
@@ -590,8 +590,12 @@ def test_scipy_optimize_and_linalg_load_only_where_called(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["optimize", "--help"]],
-                         ids=["top", "optimize"])
+SUBCOMMANDS = ["nlsq", "optimize", "sweep", "herald", "mode", "filter-design", "traces",
+               "pca", "sample", "reconstruct", "pipeline", "gate-noise"]
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS],
+                         ids=["top", *SUBCOMMANDS])
 @pytest.mark.parametrize("columns", ["60", "200"])
 def test_help_text_follows_terminal_width(monkeypatch, capsys, argv, columns):
     monkeypatch.setenv("COLUMNS", columns)
@@ -603,3 +607,13 @@ def test_help_text_follows_terminal_width(monkeypatch, capsys, argv, columns):
     for p in (parser, *sub.choices.values()):
         p.formatter_class = argparse.HelpFormatter
     assert out == (sub.choices[argv[0]] if len(argv) == 2 else parser).format_help()
+
+
+def test_parsing_adds_only_the_chosen_subcommands_options():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    assert list(sub.choices) == SUBCOMMANDS
+    args = parser.parse_args(["gate-noise", "--ancilla", "fock:1", "--kappa", "2"])
+    assert (args.func, args.ancilla, args.kappa) == (cmd_gate_noise, "fock:1", 2.0)
+    options = {name: [a.dest for a in sp._actions] for name, sp in sub.choices.items()}
+    assert {name for name, dests in options.items() if dests != ["help"]} == {"gate-noise"}

@@ -1,4 +1,3 @@
-import io
 import json
 
 import numpy as np
@@ -320,20 +319,6 @@ def test_json_roundtrip():
     back = nl.state_from_json(json.loads(blob))
     assert back.dim == state.dim
     assert np.abs(back.matrix - state.matrix).max() < 1e-15
-
-
-def test_wigner_csv_format():
-    xs = [0.0, 1.0]
-    ps = [-0.5]
-    w = nl.wigner(nl.vacuum(6), xs, ps)
-    buf = io.StringIO()
-    nl.wigner_to_csv(xs, ps, w, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "x,p,w"
-    assert len(lines) == 3
-    x0, p0, w0 = map(float, lines[1].split(","))
-    assert (x0, p0) == (0.0, -0.5)
-    assert w0 == pytest.approx(w[0, 0])
 
 
 def test_state_validation_rejects_bad_matrices():

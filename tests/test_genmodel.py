@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -216,17 +215,3 @@ def test_curve_single_minimum_and_endpoints():
         rising = np.flatnonzero(np.diff(dbs) > 1e-12)
         assert falling.size and rising.size
         assert falling.max() < rising.min()  # one descent, then one ascent
-
-
-# ---------------------------------------------------------------------------
-# sweep CSV (phi/L fits)
-# ---------------------------------------------------------------------------
-
-def test_fit_sweep_csv_unwraps_phase():
-    rows = [(0.5, 6.2, 0.25, 1e-9), (0.7, 0.05, 0.25, 1e-9), (0.9, 0.2, 0.25, 1e-9)]
-    buf = io.StringIO()
-    nl.write_fit_sweep_csv(rows, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "theta_rad,phi_fit,L_fit,residual"
-    phis = [float(line.split(",")[1]) for line in lines[1:]]
-    assert max(abs(np.diff(phis))) < np.pi  # continuity across the branch cut

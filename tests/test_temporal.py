@@ -178,6 +178,40 @@ def test_overlap_grid_mismatch():
         nl.mode_overlap(a, b)
 
 
+def test_a_mode_grid_is_shared_and_any_other_grid_checked():
+    t = nl.default_grid()
+    target = nl.single_pole_mode(1e9, 0.0, t)
+    assert target.t is not t and not target.t.flags.writeable
+    t[0] -= 1e-9  # the caller's array stays the caller's
+    assert target.t[0] != t[0]
+    assert nl.composite_mode(nl.default_gammas(), 0.0, target.t).t is target.t
+    # read-only views, of a caller's array or of a mode's grid, are copied and checked
+    good = nl.default_grid().view()
+    good.setflags(write=False)
+    assert nl.single_pole_mode(1e9, 0.0, good).t is not good
+    for bad, message in ((np.array([-2e-8, -1e-8, 0.0, 5e-9]), "uniform"),
+                         (target.t[::-1], "increasing")):
+        view = bad.view()
+        view.setflags(write=False)
+        with pytest.raises(InvalidInputError, match=message):
+            nl.single_pole_mode(1e9, 0.0, view)
+
+
+def test_searched_design_compares_no_grids(monkeypatch):
+    target = nl.single_pole_mode(1e9, 0.0, nl.default_grid())
+    calls = []
+    allclose = np.allclose
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return allclose(*args, **kwargs)
+
+    monkeypatch.setattr(np, "allclose", counting)
+    filt = nl.design_matched_filter(target)
+    assert filt.response.t is target.t
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # matched filter design
 # ---------------------------------------------------------------------------
