@@ -88,18 +88,26 @@ def _moment_blocks(dim: int, order: int):
     """dim x dim blocks of p, p^2, x^(N-1), x^(2N-2) and {p, x^(N-1)}/2.
 
     Built at cutoff dim + 2(N-1) so the blocks give exact moments for any
-    state supported on the first dim levels.
+    state supported on the first dim levels; each product forms only the
+    block it keeps.  Raises NumericalError when a block overflows a float.
     """
     pad = 2 * (order - 1)
     xm, pm = quadrature_ops(dim + pad)
-    xn = np.linalg.matrix_power(xm, order - 1)
-    return (
-        pm[:dim, :dim],
-        (pm @ pm)[:dim, :dim],
-        xn[:dim, :dim],
-        (xn @ xn)[:dim, :dim],
-        ((pm @ xn + xn @ pm) / 2.0)[:dim, :dim],
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        xn = np.linalg.matrix_power(xm, order - 1)
+        blocks = (
+            pm[:dim, :dim],
+            pm[:dim] @ pm[:, :dim],
+            xn[:dim, :dim],
+            xn[:dim] @ xn[:, :dim],
+            (pm[:dim] @ xn[:, :dim] + xn[:dim] @ pm[:, :dim]) / 2.0,
+        )
+    # every entry of x^(N-1) that a block uses enters x^(2N-2) squared, so
+    # the other blocks are finite where this one is
+    if not np.all(np.isfinite(blocks[3])):
+        raise NumericalError(f"moments of x^{order - 1} at gate order {order} "
+                             f"overflow a float at cutoff {dim}")
+    return blocks
 
 
 def _real_trace(rho: np.ndarray, block: np.ndarray) -> float:
@@ -164,7 +172,8 @@ def _minimize_lambda(mom: Moments, kappa: float, order: int) -> tuple[float, flo
     q = (order - 1) * c * c * mom.var_xn
     if not (a > 0 and 0 < q < math.inf):
         raise NumericalError(
-            f"no lambda optimum: Var p = {a}, (N-1) (N kappa)^2 Var x^(N-1) = {q}")
+            f"no lambda optimum at gate order {order}: Var p = {a}, "
+            f"(N-1) (N kappa)^2 Var x^(N-1) = {q}")
     root = math.hypot(b, 2.0 * math.sqrt(a * q))
     u = 2.0 * q / (b + root) if b >= 0 else (root - b) / (2.0 * a)
     lam = u ** (1.0 / order)
@@ -172,16 +181,22 @@ def _minimize_lambda(mom: Moments, kappa: float, order: int) -> tuple[float, flo
 
 
 def _vacuum_x_moment(n: int) -> float:
-    """<x^n> of the vacuum: (n-1)!!/2^(n/2) for even n, 0 for odd n."""
-    return 0.0 if n % 2 else math.prod(range(1, n, 2)) / 2.0 ** (n // 2)
+    """<x^n> of the vacuum: (n-1)!!/2^(n/2) for even n, 0 for odd n.  The
+    integer ratio is rounded once, so it raises OverflowError only where the
+    moment itself exceeds the float range."""
+    return 0.0 if n % 2 else math.prod(range(1, n, 2)) / 2 ** (n // 2)
 
 
 def vacuum_optimum(kappa: float = 1.0, order: int = 3) -> tuple[float, float]:
     """(optimal variance, optimizing lambda) of the vacuum at (kappa, order),
     from its Gaussian moments; <p> and the covariance vanish."""
     _validate_order(order)
-    mom = Moments(p=0.0, p2=0.5, xn=_vacuum_x_moment(order - 1),
-                  xn2=_vacuum_x_moment(2 * order - 2), sym=0.0)
+    try:
+        xn2 = _vacuum_x_moment(2 * order - 2)
+    except OverflowError:
+        raise NumericalError(f"vacuum moment <x^{2 * order - 2}> at gate order "
+                             f"{order} overflows a float") from None
+    mom = Moments(p=0.0, p2=0.5, xn=_vacuum_x_moment(order - 1), xn2=xn2, sym=0.0)
     lam, val = _minimize_lambda(mom, kappa, order)
     return val, lam
 

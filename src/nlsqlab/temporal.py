@@ -10,6 +10,7 @@ provide.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import struct
@@ -254,16 +255,14 @@ def design_matched_filter(target: TemporalMode) -> MatchedFilter:
 
 
 def _searched_rates(target: TemporalMode) -> tuple[float, float, float]:
-    """Decay rates 2*p_n of the best response: one Nelder-Mead search over
-    strictly ordered poles (never confluent) from the packet's mean delay.
-    One evaluation is minus the overlap of the response `composite_mode`
-    builds with the target, or 1.0 for poles it rejects (overflowing, not
-    distinct, leaving more than 1 - MIN_CAPTURED_NORM of the packet outside
-    the grid, or vanishing on it).  Raises NumericalError when the search
-    cannot improve on its start.
+    """Decay rates 2*p_n of the best response: one Nelder-Mead search
+    (`_nelder_mead`) over strictly ordered poles (never confluent) from the
+    packet's mean delay.  One evaluation is minus the overlap of the response
+    `composite_mode` builds with the target, or 1.0 for poles it rejects
+    (overflowing, not distinct, leaving more than 1 - MIN_CAPTURED_NORM of
+    the packet outside the grid, or vanishing on it).  Raises NumericalError
+    when the search cannot improve on its start.
     """
-    from scipy.optimize import minimize
-
     t, t0, dt = target.t, target.t0, target.dt
     tau_mean = float(np.sum((t0 - t) * target.samples ** 2) * dt)
     rate0 = 1.0 / max(tau_mean, 10.0 * dt)  # effective power decay rate
@@ -281,12 +280,58 @@ def _searched_rates(target: TemporalMode) -> tuple[float, float, float]:
             return 1.0
 
     u0 = np.array([math.log(rate0 / 2.0), math.log(3.0), math.log(2.0)])
-    res = minimize(objective, u0, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-14,
-                            "maxiter": 4000, "maxfev": 6000})
-    if not res.fun < 0.0:
+    u, fun, _ = _nelder_mead(objective, u0)
+    if not fun < 0.0:
         raise NumericalError("filter design failed to improve on its start")
-    return rates_from(res.x)
+    return rates_from(u)
+
+
+def _nelder_mead(objective, start):
+    """(point, value, evaluations) of scipy.optimize.minimize's Nelder-Mead
+    from `start` at xatol 1e-10, fatol 1e-14, maxiter 4000 and maxfev 6000:
+    the same start simplex, steps, sorts and stopping tests, so its iterates."""
+    xatol, fatol, maxiter, maxfev = 1e-10, 1e-14, 4000, 6000
+    n = len(start)
+    sim = np.array([start] * (n + 1), dtype=float)
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * sim[0, k] if sim[0, k] != 0 else 0.00025
+    budget = iter(range(1, maxfev + 1))
+    calls = 0
+
+    def f(x):  # StopIteration once maxfev evaluations are spent
+        nonlocal calls
+        calls = next(budget)
+        return objective(x)
+
+    fsim = np.array([f(x) for x in sim])
+    iterations = 1
+    for _ in range(2):  # scipy sorts the start simplex twice
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    while calls < maxfev and iterations < maxiter and not (
+            np.max(np.abs(sim[1:] - sim[0])) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        with contextlib.suppress(StopIteration):
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            fxr = f(xr := 2 * xbar - sim[-1])
+            if fxr < fsim[0]:
+                fxe = f(xe := 3 * xbar - 2 * sim[-1])
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                outside = fxr < fsim[-1]
+                fxc = f(xc := 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1])
+                if fxc <= fxr if outside else fxc < fsim[-1]:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], fsim[0], calls
 
 
 # ---------------------------------------------------------------------------

@@ -442,6 +442,38 @@ def test_optimize_command(capsys):
     assert abs(c1 / c0) == pytest.approx(0.772, abs=0.02)
 
 
+@pytest.mark.parametrize("order", ["118", "140", "160"])
+def test_high_gate_orders_run_without_overflow(capsys, order):
+    # Only the kept corner of each moment product is formed.  The full
+    # products overflowed, with a warning, from order 118 with one OpenBLAS
+    # thread (126 with two), and the vacuum moment's integer-to-float cast
+    # raised OverflowError from order 157.
+    code, out, _ = run_cli(capsys, "nlsq", "--vacuum", "--order", order)
+    assert code == 0
+    assert json.loads(out)["ratio"] == pytest.approx(1.0, abs=1e-12)
+    code, out, _ = run_cli(capsys, "optimize", "--order", order)
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["result"]["order"] == int(order)
+    assert 0 < blob["result"]["ratio"] < 1
+    coeffs = [str(complex(*c)) for c in blob["coefficients"]]
+    code, out, _ = run_cli(capsys, "nlsq", "--coeffs", *coeffs, "--order", order)
+    assert code == 0
+    assert json.loads(out)["ratio"] == pytest.approx(blob["result"]["ratio"], rel=1e-12)
+
+
+@pytest.mark.parametrize("order", ["170", "400"])
+@pytest.mark.parametrize("argv", [["nlsq", "--vacuum"], ["optimize"],
+                                  ["sweep", "--theta-steps", "3"]],
+                         ids=["nlsq", "optimize", "sweep"])
+def test_overflowing_gate_order_is_a_numerical_error(capsys, argv, order):
+    code, out, err = run_cli(capsys, *argv, "--order", order)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical error:") and len(err.splitlines()) == 1
+    assert f"gate order {order}" in err
+
+
 def test_pipeline_small_deterministic(tmp_path, capsys):
     reports = []
     for name in ("r1.json", "r2.json"):
@@ -551,17 +583,16 @@ def test_module_entry_point_runs():
 # start-up cost and help text
 # ---------------------------------------------------------------------------
 
-#: Runs in a fresh interpreter: scipy is loaded only by the one-search
-#: filter design.  The ancilla search (``optimize``) runs before it, so a
-#: scipy import there would show.
+#: Runs in a fresh interpreter: every subcommand, the searched filter
+#: designs included, runs on numpy and the standard library alone.
 IMPORT_GUARD = """
 import sys
 from nlsqlab import cli
 
 def loaded():
-    return [m for m in ("scipy.special", "scipy.optimize", "scipy.linalg") if m in sys.modules]
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+assert loaded() == [], loaded()
 for argv in (["pipeline", "--n-per-phase", "300"],
              ["sample", "--fock", "1", "--n-per-phase", "300", "--out", "data.csv"],
              ["reconstruct", "--in", "data.csv"],
@@ -570,19 +601,21 @@ for argv in (["pipeline", "--n-per-phase", "300"],
               "--dt-ns", "0.4", "--out", "short.bin"],
              ["pca", "--in", "short.bin"], ["pca", "--in", "t.bin", "--window-ns=-30,0"],
              ["nlsq", "--fock", "1"], ["nlsq", "--fock", "1", "--loss", "0.1"],
-             ["sweep", "--theta-steps", "3"], ["gate-noise"],
+             ["sweep", "--theta-steps", "3"], ["gate-noise"], ["mode"],
+             ["herald", "--q=0.1", "--alpha=-0.1j"],
              ["optimize", "--max-photon", "1"],
              ["optimize", "--max-photon", "2", "--loss", "0.25"],
-             ["optimize", "--max-photon", "1", "--order", "4"]):
+             ["optimize", "--max-photon", "1", "--order", "4"],
+             ["filter-design"], ["filter-design", "--hwhm-mhz", "50"]):
     assert cli.main(argv) == 0, argv
     assert loaded() == [], (argv, loaded())
-# scipy.optimize brings scipy.special and scipy.linalg with it
+# a searched filter design runs its own Nelder-Mead simplex
 assert cli.main(["filter-design", "--gamma", "1e9"]) == 0
-assert loaded() == ["scipy.special", "scipy.optimize", "scipy.linalg"], loaded()
+assert loaded() == [], loaded()
 """
 
 
-def test_scipy_optimize_and_linalg_load_only_where_called(tmp_path):
+def test_no_subcommand_loads_scipy(tmp_path):
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], cwd=tmp_path,

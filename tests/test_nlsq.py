@@ -231,6 +231,16 @@ def test_kappa_must_be_finite_and_nonzero(kappa):
         nl.optimize_coefficients(1, kappa=kappa)
 
 
+@pytest.mark.parametrize("order", [173, 400])
+def test_vacuum_optimum_names_an_order_whose_moment_overflows(order):
+    # <x^(2N-2)> = (2N-3)!!/2^(N-1) is rounded once from the integer ratio,
+    # so only an order whose moment exceeds the float range fails; the
+    # float cast of (2N-3)!! alone overflowed from order 157
+    assert nl.vacuum_optimum(order=160)[0] > 0
+    with pytest.raises(NumericalError, match=f"gate order {order} "):
+        nl.vacuum_optimum(order=order)
+
+
 def test_negative_kappa_accepted():
     # kappa -> -kappa is p -> -p: a p-mirrored state reaches the same ratio
     coeffs = np.array([0.79, -0.61j])

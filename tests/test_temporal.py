@@ -1,4 +1,6 @@
 import io
+import itertools
+import math
 import struct
 import tracemalloc
 import types
@@ -251,7 +253,7 @@ def test_composite_target_needs_no_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("composite targets are matched exactly")
 
-    monkeypatch.setattr(scipy.optimize, "minimize", no_search)
+    monkeypatch.setattr(temporal, "_nelder_mead", no_search)
     gammas = (9e8, 2e8, 5e8)
     filt = nl.design_matched_filter(nl.composite_mode(gammas, 0.0, nl.default_grid()))
     assert filt.poles == (1e8, 2.5e8, 4.5e8)
@@ -283,17 +285,93 @@ SEARCHED_TARGETS = [
                               "pca-30ns", "pca-60ns"])
 def test_searched_filter_takes_one_search(monkeypatch, make_target, overlap):
     target = make_target()
-    search = scipy.optimize.minimize
+    search = temporal._nelder_mead
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", counting)
+    monkeypatch.setattr(temporal, "_nelder_mead", counting)
     filt = nl.design_matched_filter(target)
     assert len(calls) == 1
     assert filt.overlap == pytest.approx(overlap, abs=1e-12)
+    # the search is scipy's, iterate for iterate
+    monkeypatch.undo()
+    objective, start = calls[0]
+    assert assert_scipys_run(lambda: objective, start).status == 0
+
+
+#: scipy.optimize.minimize options that `temporal._nelder_mead` runs with
+NELDER_MEAD_OPTIONS = {"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000, "maxfev": 6000}
+
+
+def assert_scipys_run(make_objective, start):
+    """Run `temporal._nelder_mead` and scipy's Nelder-Mead, each on a fresh
+    objective from `make_objective()`, and require the same point (bytes),
+    value and evaluation count; return scipy's result."""
+    start = np.asarray(start, dtype=float)
+    x, fun, calls = temporal._nelder_mead(make_objective(), start)
+    ref = scipy.optimize.minimize(make_objective(), start, method="Nelder-Mead",
+                                  options=NELDER_MEAD_OPTIONS)
+    assert x.tobytes() == ref.x.tobytes()
+    assert fun == ref.fun
+    assert calls == ref.nfev
+    return ref
+
+
+def _cliff(u):
+    # a tilted bump, and 1.0 outside the unit ball around (1, 1, 1), as the
+    # filter objective gives 1.0 for poles that composite_mode rejects
+    r2 = float(np.sum((u - 1.0) ** 2))
+    return 0.3 * float(u[0]) - math.exp(-r2) if r2 < 1.0 else 1.0
+
+
+@pytest.mark.parametrize("start", [(0.9, 1.2, 1.1), (0.0, 1.2, 1.1), (1.0, 1.0, 1.0)])
+def test_nelder_mead_matches_scipy_across_a_cliff(start):
+    # (0.0, ...) starts the simplex with the 0.00025 step, and its cliff
+    # ties the start simplex at 1.0
+    assert assert_scipys_run(lambda: _cliff, start).status == 0
+
+
+def _call_counter(value):
+    """An objective whose k-th call returns value(k), wherever it is called:
+    its values never settle, so only maxiter or maxfev ends a search."""
+    calls = itertools.count()
+    return lambda u: value(next(calls))
+
+
+@pytest.mark.parametrize("value, status", [
+    # every value after the first ranks between the best and the
+    # second-worst, so every step is one accepted reflection
+    (lambda k: 1.0 / k if k else 0.0, 2),
+    # golden-ratio values: all step kinds, shrinks included.  The budget
+    # runs out inside a step, where a further call would find the lowest
+    # value yet.
+    (lambda k: (k + 3) * 0.6180339887498949 % 1.0 if k < 6000 else -1.0, 1),
+], ids=["maxiter", "maxfev"])
+def test_nelder_mead_stops_at_scipys_call(value, status):
+    ref = assert_scipys_run(lambda: _call_counter(value), (0.5, 0.6, 0.7))
+    assert ref.status == status
+    assert ref.nfev == (4003 if status == 2 else 6000)
+
+
+def test_single_pole_design_reaches_the_overlap_supremum():
+    # Three real poles give a response that vanishes at tau = 0, so no
+    # filter beats the target less its t0 sample.  Against a single pole
+    # sampled at t0 that target has overlap exp(-gamma dt), less
+    # (1 - exp(-gamma dt)) exp(-gamma frame / 2) from the grid's start (5e-15
+    # at 3e8 rad/s, so slow poles are left out).  The searched design reaches
+    # it to round-off, with its two fast poles anywhere on a plateau, so they
+    # are not pinned here.
+    for gamma in (nl.default_gammas()[0], 1e9):
+        target = nl.single_pole_mode(gamma, 0.0, nl.default_grid())
+        supremum = math.exp(-gamma * target.dt)
+        clipped = np.where(target.t < target.t0, target.samples, 0.0)
+        assert nl.mode_overlap(temporal.TemporalMode((), (), 0.0, target.t, clipped),
+                               target) == pytest.approx(supremum, abs=2e-15)
+        assert nl.design_matched_filter(target).overlap == pytest.approx(supremum,
+                                                                        abs=2e-15)
 
 
 def test_filter_design_builds_at_most_one_mode(monkeypatch):
