@@ -366,7 +366,6 @@ def cmd_gate_noise(args) -> int:
 def _nlsq_options(sp: argparse.ArgumentParser) -> None:
     _add_state_options(sp)
     _add_gate_options(sp)
-    sp.set_defaults(func=cmd_nlsq)
 
 
 def _optimize_options(sp: argparse.ArgumentParser) -> None:
@@ -375,7 +374,6 @@ def _optimize_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--loss", type=float)
     sp.add_argument("--seed", type=int, help="accepted; the search is deterministic")
     sp.add_argument("--starts", type=int, help="accepted; the search is deterministic")
-    sp.set_defaults(func=cmd_optimize)
 
 
 def _sweep_options(sp: argparse.ArgumentParser) -> None:
@@ -386,26 +384,22 @@ def _sweep_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--losses", default="0,0.25,0.5")
     _add_gate_options(sp)
     sp.add_argument("--out", default="-")
-    sp.set_defaults(func=cmd_sweep)
 
 
 def _herald_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--q")
     sp.add_argument("--alpha")
     sp.add_argument("--dim", type=int, default=fock.MIN_TWO_LEVEL_DIM)
-    sp.set_defaults(func=cmd_herald)
 
 
 def _mode_command_options(sp: argparse.ArgumentParser) -> None:
     _add_mode_options(sp)
     sp.add_argument("--out", default="-")
-    sp.set_defaults(func=cmd_mode)
 
 
 def _filter_design_options(sp: argparse.ArgumentParser) -> None:
     _add_mode_options(sp)
     sp.add_argument("--response-out")
-    sp.set_defaults(func=cmd_filter_design)
 
 
 def _traces_options(sp: argparse.ArgumentParser) -> None:
@@ -415,7 +409,6 @@ def _traces_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--phases-deg", default=PHASES_DEG)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_traces)
 
 
 def _pca_options(sp: argparse.ArgumentParser) -> None:
@@ -425,7 +418,6 @@ def _pca_options(sp: argparse.ArgumentParser) -> None:
                     help="log the overlap with the analytic mode options")
     _add_mode_options(sp)
     sp.add_argument("--out", default="-")
-    sp.set_defaults(func=cmd_pca)
 
 
 def _sample_options(sp: argparse.ArgumentParser) -> None:
@@ -434,7 +426,6 @@ def _sample_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n-per-phase", type=int, default=tomo.DEFAULT_EVENTS_PER_PHASE)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default="-")
-    sp.set_defaults(func=cmd_sample)
 
 
 def _reconstruct_options(sp: argparse.ArgumentParser) -> None:
@@ -443,7 +434,6 @@ def _reconstruct_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--max-iters", type=int, default=tomo.MLE_MAX_ITERS)
     sp.add_argument("--tol", type=float, default=tomo.MLE_TOL)
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_reconstruct)
 
 
 def _pipeline_options(sp: argparse.ArgumentParser) -> None:
@@ -458,7 +448,7 @@ def _pipeline_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--no-traces", dest="with_traces", action="store_false")
     sp.add_argument("--trace-events", type=int, default=1000)
     sp.add_argument("--out", default="-")
-    sp.set_defaults(func=cmd_pipeline, with_traces=True)
+    sp.set_defaults(with_traces=True)
 
 
 def _gate_noise_options(sp: argparse.ArgumentParser) -> None:
@@ -469,57 +459,34 @@ def _gate_noise_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--sqz-var", type=float, default=0.0)
     sp.add_argument("--kappa", type=float, default=1.0)
     sp.add_argument("--dim", type=int)
-    sp.set_defaults(func=cmd_gate_noise)
 
 
-#: (name, help, function that adds the options and `func` default) of each
+#: (name, help, function that adds the options, command) of each
 #: subcommand, in the order `--help` lists them.
 _SUBCOMMANDS = (
-    ("nlsq", "nonlinear squeezing of one state", _nlsq_options),
-    ("optimize", "optimize superposition coefficients", _optimize_options),
-    ("sweep", "NLSQ versus theta for several losses", _sweep_options),
-    ("herald", "heralded superposition density matrix", _herald_options),
-    ("mode", "temporal wave packet as CSV", _mode_command_options),
-    ("filter-design", "third-order matched filter", _filter_design_options),
-    ("traces", "simulate continuous homodyne traces", _traces_options),
-    ("pca", "principal-component temporal mode estimate", _pca_options),
-    ("sample", "phase-tagged quadrature dataset", _sample_options),
-    ("reconstruct", "maximum-likelihood reconstruction", _reconstruct_options),
-    ("pipeline", "generate, measure, reconstruct, report", _pipeline_options),
-    ("gate-noise", "cubic-gate moment-level noise budget", _gate_noise_options),
+    ("nlsq", "nonlinear squeezing of one state", _nlsq_options, cmd_nlsq),
+    ("optimize", "optimize superposition coefficients", _optimize_options, cmd_optimize),
+    ("sweep", "NLSQ versus theta for several losses", _sweep_options, cmd_sweep),
+    ("herald", "heralded superposition density matrix", _herald_options, cmd_herald),
+    ("mode", "temporal wave packet as CSV", _mode_command_options, cmd_mode),
+    ("filter-design", "third-order matched filter", _filter_design_options,
+     cmd_filter_design),
+    ("traces", "simulate continuous homodyne traces", _traces_options, cmd_traces),
+    ("pca", "principal-component temporal mode estimate", _pca_options, cmd_pca),
+    ("sample", "phase-tagged quadrature dataset", _sample_options, cmd_sample),
+    ("reconstruct", "maximum-likelihood reconstruction", _reconstruct_options,
+     cmd_reconstruct),
+    ("pipeline", "generate, measure, reconstruct, report", _pipeline_options, cmd_pipeline),
+    ("gate-noise", "cubic-gate moment-level noise budget", _gate_noise_options,
+     cmd_gate_noise),
 )
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser that adds its options the first time it parses
-    or formats its help or usage, so that a run builds the options of the
-    chosen subcommand only."""
-
-    def __init__(self, *args, add_options, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._pending_options = add_options
-
-    def _add_pending_options(self) -> None:
-        add, self._pending_options = self._pending_options, None
-        if add is not None:
-            add(self)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._add_pending_options()
-        return super().parse_known_args(args, namespace)
-
-    def format_help(self) -> str:
-        self._add_pending_options()
-        return super().format_help()
-
-    def format_usage(self) -> str:
-        self._add_pending_options()
-        return super().format_usage()
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The `nlsqlab` parser.  Each subcommand's options are added when that
-    subcommand parses or prints its help (see `_SubcommandParser`)."""
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The `nlsqlab` parser for the arguments `argv`.  It lists every
+    subcommand but adds the options of only those named in `argv`: the
+    chosen subcommand is always one of its tokens, and argparse does not
+    abbreviate subcommand names."""
     # argparse builds a HelpFormatter for every add_argument, and each one
     # asks for the terminal width unless it is given; ask once per parser.
     formatter = functools.partial(argparse.HelpFormatter,
@@ -536,9 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="interpret angle arguments as degrees")
     sub = parser.add_subparsers(
         dest="command", required=True,
-        parser_class=functools.partial(_SubcommandParser, formatter_class=formatter))
-    for name, help_text, add_options in _SUBCOMMANDS:
-        sub.add_parser(name, help=help_text, add_options=add_options)
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
+    for name, help_text, add_options, func in _SUBCOMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(func=func)
+        if name in argv:
+            add_options(sp)
     return parser
 
 
@@ -557,7 +527,7 @@ def _parse_with_config(parser: argparse.ArgumentParser, argv, args):
     if not isinstance(config, dict):
         parser.error(f"--config {args.config}: expected a JSON object")
     sub = next(a for a in parser._actions if a.dest == "command")
-    sp = sub.choices[args.command]  # its options were added by the first parse
+    sp = sub.choices[args.command]  # named in argv, so its options are built
     defaults = {}
     for action in sp._actions:
         key, value = action.dest, config.get(action.dest)
@@ -582,7 +552,8 @@ def _parse_with_config(parser: argparse.ArgumentParser, argv, args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if args.config:

@@ -91,6 +91,14 @@ def _moment_blocks(dim: int, order: int):
     state supported on the first dim levels; each product forms only the
     block it keeps.  Raises NumericalError when a block overflows a float.
     """
+    overflow = (f"moments of x^{order - 1} at gate order {order} "
+                f"overflow a float at cutoff {dim}")
+    # the (0, 0) entry of the x^(2N-2) block is this vacuum moment, so an
+    # order where it overflows fails here, before the matrix power
+    try:
+        _vacuum_x_moment(2 * order - 2)
+    except OverflowError:
+        raise NumericalError(overflow) from None
     pad = 2 * (order - 1)
     xm, pm = quadrature_ops(dim + pad)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -105,8 +113,7 @@ def _moment_blocks(dim: int, order: int):
     # every entry of x^(N-1) that a block uses enters x^(2N-2) squared, so
     # the other blocks are finite where this one is
     if not np.all(np.isfinite(blocks[3])):
-        raise NumericalError(f"moments of x^{order - 1} at gate order {order} "
-                             f"overflow a float at cutoff {dim}")
+        raise NumericalError(overflow)
     return blocks
 
 

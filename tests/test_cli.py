@@ -5,6 +5,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -462,12 +463,15 @@ def test_high_gate_orders_run_without_overflow(capsys, order):
     assert json.loads(out)["ratio"] == pytest.approx(blob["result"]["ratio"], rel=1e-12)
 
 
-@pytest.mark.parametrize("order", ["170", "400"])
+@pytest.mark.parametrize("order", ["170", "400", "1000"])
 @pytest.mark.parametrize("argv", [["nlsq", "--vacuum"], ["optimize"],
                                   ["sweep", "--theta-steps", "3"]],
                          ids=["nlsq", "optimize", "sweep"])
 def test_overflowing_gate_order_is_a_numerical_error(capsys, argv, order):
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv, "--order", order)
+    # an order past the float range fails before any moment matrix is built
+    assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == ""
     assert err.startswith("numerical error:") and len(err.splitlines()) == 1
@@ -635,7 +639,7 @@ def test_help_text_follows_terminal_width(monkeypatch, capsys, argv, columns):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     # the same parsers with argparse's own formatter, which looks the width up
-    parser = build_parser()
+    parser = build_parser(argv)
     sub = next(a for a in parser._actions if a.dest == "command")
     for p in (parser, *sub.choices.values()):
         p.formatter_class = argparse.HelpFormatter
@@ -643,10 +647,27 @@ def test_help_text_follows_terminal_width(monkeypatch, capsys, argv, columns):
 
 
 def test_parsing_adds_only_the_chosen_subcommands_options():
-    parser = build_parser()
-    sub = next(a for a in parser._actions if a.dest == "command")
-    assert list(sub.choices) == SUBCOMMANDS
-    args = parser.parse_args(["gate-noise", "--ancilla", "fock:1", "--kappa", "2"])
+    def with_options(parser):
+        sub = next(a for a in parser._actions if a.dest == "command")
+        assert list(sub.choices) == SUBCOMMANDS
+        return {name for name, sp in sub.choices.items()
+                if [a.dest for a in sp._actions] != ["help"]}
+
+    argv = ["gate-noise", "--ancilla", "fock:1", "--kappa", "2"]
+    parser = build_parser(argv)
+    assert with_options(parser) == {"gate-noise"}
+    args = parser.parse_args(argv)
     assert (args.func, args.ancilla, args.kappa) == (cmd_gate_noise, "fock:1", 2.0)
-    options = {name: [a.dest for a in sp._actions] for name, sp in sub.choices.items()}
-    assert {name for name, dests in options.items() if dests != ["help"]} == {"gate-noise"}
+    assert with_options(build_parser(["--help"])) == set()
+    # a value that names another subcommand builds its options too, harmlessly
+    assert with_options(build_parser(["sample", "--out", "pipeline"])) == {"sample", "pipeline"}
+
+
+def test_value_naming_a_subcommand_is_a_value(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "sample", "--vacuum", "--n-per-phase", "3",
+                           "--out", "pipeline")
+    assert (code, out) == (0, "")
+    lines = (tmp_path / "pipeline").read_text().splitlines()
+    assert lines[0] == "phase_deg,quadrature"
+    assert len(lines) == 1 + 3 * len(nl.tomo.DEFAULT_PHASES)
