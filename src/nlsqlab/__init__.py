@@ -17,9 +17,9 @@ from .nlsq import (NlsqResult, kappa_rescale, nlsq_db, noise_moments,
                    optimize_coefficients, sweep_rows, vacuum_optimum,
                    write_sweep_csv)
 from .temporal import (MatchedFilter, TemporalMode, TraceSet, composite_mode,
-                       composite_weights, default_gammas, default_grid,
-                       design_matched_filter, gamma_from_hwhm, load_traces,
-                       mode_overlap, mode_quadratures, mode_to_csv,
+                       composite_weights, correlations_by_phase, default_gammas,
+                       default_grid, design_matched_filter, gamma_from_hwhm,
+                       load_traces, mode_overlap, mode_quadratures, mode_to_csv,
                        pca_mode_estimate, realtime_vs_postprocess, save_traces,
                        simulate_traces, single_pole_mode)
 from .tomo import (BootstrapErrors, MleResult, TomographyDataset,

@@ -151,12 +151,11 @@ def _mode_from_options(args):
     t0 = args.t0_ns * 1e-9
     t = temporal.default_grid(frame=args.frame_ns * 1e-9, dt=args.dt_ns * 1e-9, center=t0)
     if args.gamma is not None:
-        return temporal.single_pole_mode(args.gamma, t0, t)
-    if args.gammas is not None:
-        return temporal.composite_mode(_floats(args.gammas), t0, t)
-    gammas = [temporal.gamma_from_hwhm(h * 1e6) for h in _floats(args.hwhm_mhz)]
-    if len(gammas) == 1:
-        return temporal.single_pole_mode(gammas[0], t0, t)
+        gammas = (args.gamma,)
+    elif args.gammas is not None:
+        gammas = _floats(args.gammas)
+    else:
+        gammas = [temporal.gamma_from_hwhm(h * 1e6) for h in _floats(args.hwhm_mhz)]
     return temporal.composite_mode(gammas, t0, t)
 
 
@@ -329,10 +328,10 @@ def cmd_pipeline(args) -> int:
         ts = temporal.simulate_traces(truth, mode, n_events,
                                       np.repeat(phases, args.trace_events),
                                       seed=args.seed + 1)
-        # One pass projects onto both weightings; realtime_vs_postprocess
-        # would discard q_rt, which the reconstruction below needs.
-        q_pp, q_rt = temporal._project(ts, mode, filt.response).T
-        corr = temporal._correlations_by_phase(ts.phases, q_pp, q_rt)
+        # The two calls of realtime_vs_postprocess, keeping q_rt for the
+        # reconstruction below.
+        q_pp, q_rt = temporal.mode_quadratures(ts, mode, filt.response).T
+        corr = temporal.correlations_by_phase(ts.phases, q_pp, q_rt)
         rt_ds = tomo.TomographyDataset(phases=ts.phases, values=q_rt)
         rt_mle = tomo.mle_reconstruct(rt_ds, dim=dim)
         rt_result = nlsq.optimal_nonlinear_variance(rt_mle.state, kappa, order)

@@ -107,12 +107,13 @@ def _best_m1_db() -> float:
     return optimize_coefficients(1, kappa=1.0, order=3)[1].db
 
 
-def required_ancilla_db(target_excess: float, kappa: float = 1.0) -> float:
-    """Ancilla nonlinear squeezing (dB) needed to keep the ancilla excess at
-    or below the target variance, clipped below at the best value reachable
-    with a vacuum/one-photon superposition."""
+def required_ancilla_db(target_excess: float) -> float:
+    """Ancilla nonlinear squeezing (dB) needed to keep the ancilla excess of
+    a unit-strength (kappa = 1) gate at or below the target variance,
+    clipped below at the best value reachable with a vacuum/one-photon
+    superposition."""
     if not target_excess > 0:
         raise InvalidInputError(f"target excess must be positive, got {target_excess}")
-    v_vac, _ = vacuum_optimum(kappa, 3)
+    v_vac, _ = vacuum_optimum(1.0, 3)
     raw_db = 10.0 * math.log10(target_excess / v_vac)
     return max(raw_db, _best_m1_db())

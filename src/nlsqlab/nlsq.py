@@ -226,9 +226,10 @@ def optimal_nonlinear_variance(state: QuantumState, kappa: float = 1.0,
     )
 
 
-def nlsq_db(state: QuantumState, kappa: float = 1.0, order: int = 3) -> float:
-    """Nonlinear squeezing in dB; negative iff the state beats all Gaussians."""
-    return optimal_nonlinear_variance(state, kappa, order).db
+def nlsq_db(state: QuantumState) -> float:
+    """Cubic (order-3) nonlinear squeezing in dB, which no strength changes;
+    negative iff the state beats all Gaussians."""
+    return optimal_nonlinear_variance(state).db
 
 
 def kappa_rescale(result: NlsqResult, u: float) -> NlsqResult:
@@ -449,19 +450,12 @@ def optimize_coefficients(max_photon: int, kappa: float = 1.0, order: int = 3,
     _validate_order(order)
     if max_photon < 0:
         raise InvalidInputError("max photon number must be nonnegative")
-    dim = max(max_photon + 1, 2)
-
-    def evaluate(coeffs) -> NlsqResult:
-        state = make_superposition(coeffs, dim)
-        if loss is not None:
-            state = apply_loss(state, loss)
-        return optimal_nonlinear_variance(state, kappa, order)
-
-    if max_photon == 0:
-        c = np.array([1.0 + 0.0j])
-        return c, evaluate(c)
-    coeffs = _canonical_coeffs(_optimal_ancilla(max_photon, kappa, order, loss))
-    return coeffs, evaluate(coeffs)
+    coeffs = (np.array([1.0 + 0.0j]) if max_photon == 0 else
+              _canonical_coeffs(_optimal_ancilla(max_photon, kappa, order, loss)))
+    state = make_superposition(coeffs, max(max_photon + 1, 2))
+    if loss is not None:
+        state = apply_loss(state, loss)
+    return coeffs, optimal_nonlinear_variance(state, kappa, order)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Temporal wave packets, matched filters, simulated homodyne traces, and
 mode estimation.
 
-Wave packets are one-sided rising exponentials e^{-gamma|t-t0|/2} Theta(t0-t)
-and weighted three-pole composites thereof; a third-order low-pass filter
-whose time-reversed impulse response overlaps the packet implements the
-real-time quadrature readout that digital post-integration would otherwise
-provide.
+Wave packets are weighted sums of one-sided rising exponentials
+e^{-gamma|t-t0|/2} Theta(t0-t), one per cavity of a cascade of one or more;
+a third-order low-pass filter whose time-reversed impulse response overlaps
+the packet implements the real-time quadrature readout that digital
+post-integration would otherwise provide.
 """
 
 from __future__ import annotations
@@ -156,25 +156,22 @@ def _check_span(gamma_min: float, t0: float, t: np.ndarray) -> None:
 
 
 def single_pole_mode(gamma: float, t0: float, t) -> TemporalMode:
-    """Normalized e^{-gamma (t0-t)/2} Theta(t0-t) on the grid."""
-    if not 0 < gamma < math.inf:
-        raise InvalidInputError(f"decay rate must be finite and positive, got {gamma}")
-    t = _grid(t)
-    _check_span(gamma, t0, t)
-    tau = t0 - t
-    samples = np.where(tau >= 0, np.exp(-gamma * np.clip(tau, 0, None) / 2.0), 0.0)
-    return TemporalMode((gamma,), (1.0,), t0, t, samples)
+    """Normalized e^{-gamma (t0-t)/2} Theta(t0-t) on the grid: the packet of
+    one cavity."""
+    return composite_mode((gamma,), t0, t)
 
 
-def composite_weights(gammas) -> tuple[float, float, float]:
-    """c1 = 1/((g2-g1)(g3-g1)) and cyclic permutations.  Raises
+def composite_weights(gammas) -> tuple[float, ...]:
+    """c_i = 1/prod_{j != i}(g_j - g_i), the partial-fraction weights of a
+    cascade of single-pole responses (1 for a single rate).  Raises
     InvalidInputError when a product of rate differences underflows, so
     that its weight would not be finite."""
-    g1, g2, g3 = (float(g) for g in gammas)
-    products = ((g2 - g1) * (g3 - g1), (g3 - g2) * (g1 - g2), (g1 - g3) * (g2 - g3))
+    gammas = tuple(float(g) for g in gammas)
+    products = (math.prod(gj - gi for j, gj in enumerate(gammas) if j != i)
+                for i, gi in enumerate(gammas))
     weights = tuple(1.0 / p if p else math.inf for p in products)
     if not all(map(math.isfinite, weights)):
-        raise InvalidInputError(f"decay rates {(g1, g2, g3)}: a product of their "
+        raise InvalidInputError(f"decay rates {gammas}: a product of their "
                                 "differences underflows, so their weights are not finite")
     return weights
 
@@ -186,11 +183,12 @@ def _distinct(gammas) -> bool:
 
 
 def composite_mode(gammas, t0: float, t) -> TemporalMode:
-    """Three-cavity packet: normalized sum of one-sided exponentials with the
-    partial-fraction weights of a cascade of three single-pole responses."""
+    """Packet of a cascade of one or more cavities with distinct decay
+    rates: the normalized sum of one-sided exponentials with the
+    partial-fraction weights of `composite_weights`."""
     gammas = tuple(float(g) for g in gammas)
-    if len(gammas) != 3:
-        raise InvalidInputError("composite mode takes exactly three decay rates")
+    if not gammas:
+        raise InvalidInputError("composite mode takes at least one decay rate")
     if any(not 0 < g < math.inf for g in gammas):
         raise InvalidInputError(f"decay rates must be finite and positive, got {gammas}")
     if not _distinct(gammas):
@@ -241,10 +239,11 @@ def design_matched_filter(target: TemporalMode) -> MatchedFilter:
     maximizes the overlap with the target packet.
 
     That response, for real poles p_n, is the composite packet with decay
-    rates 2*p_n.  A target built by `composite_mode` (three decay rates
-    carrying their partial-fraction weights) is therefore matched exactly
-    by p_n = gamma_n / 2, and no search runs.  Any other target (a
-    single-pole mode, a PCA estimate) gets one search; see `_searched_rates`.
+    rates 2*p_n.  A target built by `composite_mode` from three decay rates
+    (carrying their partial-fraction weights) is therefore matched exactly
+    by p_n = gamma_n / 2, and no search runs.  Any other target (a packet
+    of one, two or four or more cavities, a PCA estimate) gets one search;
+    see `_searched_rates`.
     """
     rates = target.decay_rates
     exact = len(rates) == 3 and target.weights == composite_weights(rates)
@@ -525,7 +524,7 @@ def _top_two_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = hi, hi + grow
 
 
-def _project(traces: TraceSet, *modes: TemporalMode) -> np.ndarray:
+def mode_quadratures(traces: TraceSet, *modes: TemporalMode) -> np.ndarray:
     """Quadratures sum_t x(t) m(t) dt of every trace in each of the k
     `modes`, as an (n_events, k) array: one pass over the traces against the
     (n_bins, k) matrix of mode samples.  Rows are cast to float64 one block
@@ -542,22 +541,8 @@ def _project(traces: TraceSet, *modes: TemporalMode) -> np.ndarray:
     return out * traces.dt
 
 
-def mode_quadratures(traces: TraceSet, mode: TemporalMode) -> np.ndarray:
-    """Mode-weighted integral sum_t x(t) f(t) dt of every trace: its
-    quadrature in `mode`, accumulated in float64 (see `_project`)."""
-    return _project(traces, mode)[:, 0]
-
-
-def realtime_vs_postprocess(traces: TraceSet, filt, mode: TemporalMode) -> dict:
-    """Pearson correlation, per LO phase, between the digital mode-weighted
-    integral and the filtered signal sampled at the herald time; both come
-    from one pass over the traces."""
-    response = filt.response if isinstance(filt, MatchedFilter) else filt
-    return _correlations_by_phase(traces.phases, *_project(traces, mode, response).T)
-
-
-def _correlations_by_phase(phases: np.ndarray, q_pp: np.ndarray,
-                           q_rt: np.ndarray) -> dict:
+def correlations_by_phase(phases: np.ndarray, q_pp: np.ndarray,
+                          q_rt: np.ndarray) -> dict:
     """Pearson correlation of two quadrature arrays within each LO phase."""
     out = {}
     for phase in np.unique(phases):
@@ -566,6 +551,15 @@ def _correlations_by_phase(phases: np.ndarray, q_pp: np.ndarray,
             raise InvalidInputError(f"phase bin {phase} has fewer than 2 traces")
         out[float(phase)] = float(np.corrcoef(q_pp[idx], q_rt[idx])[0, 1])
     return out
+
+
+def realtime_vs_postprocess(traces: TraceSet, filt: MatchedFilter,
+                            mode: TemporalMode) -> dict:
+    """Pearson correlation, per LO phase, between the digital mode-weighted
+    integral and the filtered signal sampled at the herald time; both come
+    from one pass over the traces."""
+    return correlations_by_phase(traces.phases,
+                                 *mode_quadratures(traces, mode, filt.response).T)
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,7 @@ class BootstrapErrors:
 
 
 def bootstrap_error(data: TomographyDataset, dim: int = 5, n_resamples: int = 50,
-                    seed: int = 0, kappa: float = 1.0, order: int = 3) -> BootstrapErrors:
+                    seed: int = 0) -> BootstrapErrors:
     """Nonparametric bootstrap (stratified per phase) of the reconstruction.
 
     Returns the standard deviation, across resamples, of the NLSQ dB value
@@ -333,7 +333,7 @@ def bootstrap_error(data: TomographyDataset, dim: int = 5, n_resamples: int = 50
         picked = cell[np.concatenate([g[rng.integers(0, g.size, g.size)] for g in groups])]
         counts = np.bincount(picked[picked >= 0], minlength=len(P))
         state = QuantumState(dim, _iterate(P, counts, dim, MLE_MAX_ITERS, MLE_TOL)[0])
-        dbs.append(nlsq_db(state, kappa, order))
+        dbs.append(nlsq_db(state))
         rhos.append(state.matrix)
     rhos = np.asarray(rhos)
     rho_err = np.sqrt(np.mean(np.abs(rhos - rhos.mean(axis=0)) ** 2, axis=0))

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import pathlib
@@ -363,6 +364,16 @@ def test_nonfinite_decay_rates_are_usage_errors(capsys, argv):
     assert "finite" in err
 
 
+def test_one_rate_list_is_the_single_rate_packet(capsys):
+    by_gamma = run_cli(capsys, "mode", "--gamma", "4e8")
+    assert by_gamma[0] == 0
+    assert run_cli(capsys, "mode", "--gammas", "4e8") == by_gamma
+    for rates in ("4e8,9e8", "2e8,4e8,9e8,1.3e9"):  # any number of distinct rates
+        code, out, _ = run_cli(capsys, "mode", "--gammas", rates)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + nl.default_grid().size
+
+
 def test_underflowing_rate_differences_are_usage_errors(capsys):
     # Finite, positive and distinct, but (g2 - g1)(g3 - g1) underflows to 0.
     code, out, err = run_cli(capsys, "mode", "--gammas", "1e-200,2e-200,3e-200",
@@ -497,13 +508,13 @@ def test_pipeline_small_deterministic(tmp_path, capsys):
 
 def test_pipeline_projects_each_weighting_once(monkeypatch, capsys):
     calls = []
-    real = nl.temporal._project
+    real = nl.temporal.mode_quadratures
 
     def counting(traces, *modes):
         calls.append(modes)
         return real(traces, *modes)
 
-    monkeypatch.setattr(nl.temporal, "_project", counting)
+    monkeypatch.setattr(nl.temporal, "mode_quadratures", counting)
     code, _, _ = run_cli(capsys, "pipeline", "--n-per-phase", "300",
                          "--trace-events", "200")
     assert code == 0
@@ -617,6 +628,15 @@ for argv in (["pipeline", "--n-per-phase", "300"],
 assert cli.main(["filter-design", "--gamma", "1e9"]) == 0
 assert loaded() == [], loaded()
 """
+
+
+def test_cli_reads_no_private_module_name():
+    modules = {"fock", "gate", "genmodel", "nlsq", "temporal", "tomo"}
+    tree = ast.parse(pathlib.Path(nl.cli.__file__).read_text())
+    private = sorted(f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in modules and node.attr.startswith("_"))
+    assert private == []
 
 
 def test_no_subcommand_loads_scipy(tmp_path):

@@ -103,6 +103,21 @@ def test_temporal_mode_rejects_nonfinite_points(field, bad):
 
 def test_composite_weights_hand_value():
     assert nl.composite_weights((1.0, 2.0, 3.0)) == pytest.approx((0.5, -1.0, 0.5))
+    assert nl.composite_weights((1.0, 3.0)) == (0.5, -0.5)
+    assert nl.composite_weights((4e8,)) == (1.0,)
+
+
+def test_single_pole_mode_is_the_one_rate_packet():
+    t = nl.default_grid()
+    single = nl.single_pole_mode(4e8, 0.0, t)
+    packet = nl.composite_mode((4e8,), 0.0, t)
+    assert single.samples.tobytes() == packet.samples.tobytes()
+    assert (single.decay_rates, single.weights) == ((4e8,), (1.0,))
+    # the same bytes as the bare exponential over the whole grid
+    bare = np.where(t <= 0.0, np.exp(-4e8 * np.clip(-t, 0, None) / 2.0), 0.0)
+    assert single.samples.tobytes() == nl.TemporalMode((), (), 0.0, t, bare).samples.tobytes()
+    with pytest.raises(InvalidInputError, match="at least one"):
+        nl.composite_mode((), 0.0, t)
 
 
 def test_composite_mode_weights_invariant():
@@ -116,8 +131,9 @@ def test_composite_mode_weights_invariant():
 def test_composite_repeated_pole_rejected():
     with pytest.raises(DegeneratePoleError):
         nl.composite_mode((4e8, 4e8, 9e8), 0.0, nl.default_grid())
-    with pytest.raises(InvalidInputError):
-        nl.composite_mode((4e8, 9e8), 0.0, nl.default_grid())
+    two = nl.composite_mode((4e8, 9e8), 0.0, nl.default_grid())
+    assert two.weights == pytest.approx((1.0 / 5e8, -1.0 / 5e8), rel=1e-12)
+    assert two.samples[two.t == 0.0].tolist() == [0.0]  # a cascade starts at zero
 
 
 def test_composite_approaches_single_pole_as_filters_widen():
@@ -533,7 +549,7 @@ def test_integrating_a_trace_gives_back_its_quadrature(drawn_traces):
     # The noise is removed along f in float32, so the integral returns q up
     # to float32 round-off: about 2e-7 here, against |q| of a few units.
     mode, ts, q = drawn_traces
-    assert np.max(np.abs(nl.mode_quadratures(ts, mode) - q)) <= 1e-6
+    assert np.max(np.abs(nl.mode_quadratures(ts, mode)[:, 0] - q)) <= 1e-6
 
 
 def test_trace_noise_variance_per_bin(drawn_traces):
@@ -568,7 +584,7 @@ def test_traces_stay_float32_through_save_and_load():
 def test_mode_quadratures_accumulate_in_float64():
     mode = default_composite()
     ts = nl.simulate_traces(nl.fock_state(1, 5), mode, 2 * CHUNK + 1, PHASES, seed=2)
-    q = nl.mode_quadratures(ts, mode)
+    q = nl.mode_quadratures(ts, mode)[:, 0]
     ref = ts.traces.astype(np.float64) @ mode.samples * ts.dt
     assert q.dtype == np.float64
     assert np.allclose(q, ref, rtol=1e-12, atol=0.0)
@@ -766,7 +782,7 @@ def test_trace_memory_stays_near_the_float32_set():
 def test_identical_weighting_gives_unit_correlation():
     mode = default_composite()
     ts = nl.simulate_traces(nl.vacuum(5), mode, 300, PHASES, seed=7)
-    corr = nl.realtime_vs_postprocess(ts, mode, mode)
+    corr = nl.correlations_by_phase(ts.phases, *nl.mode_quadratures(ts, mode, mode).T)
     for r in corr.values():
         assert r == pytest.approx(1.0, abs=1e-12)
 
@@ -789,7 +805,7 @@ def test_vacuum_correlation_equals_weighting_overlap():
     weight = nl.TemporalMode((), (), mode.t[-1], mode.t, raw)
     inner = float(np.sum(weight.samples * mode.samples) * mode.dt)
     ts = nl.simulate_traces(nl.vacuum(5), mode, 20000, PHASES, seed=8)
-    corr = nl.realtime_vs_postprocess(ts, weight, mode)
+    corr = nl.correlations_by_phase(ts.phases, *nl.mode_quadratures(ts, mode, weight).T)
     se = 1.0 / np.sqrt(ts.n_events / len(PHASES))
     for r in corr.values():
         assert r == pytest.approx(inner, abs=3.5 * se)
@@ -799,7 +815,7 @@ def test_correlation_needs_populated_phase_bins():
     mode = default_composite()
     ts = nl.simulate_traces(nl.vacuum(5), mode, 3, [0.0, 0.5, 1.0], seed=9)
     with pytest.raises(InvalidInputError):
-        nl.realtime_vs_postprocess(ts, mode, mode)
+        nl.correlations_by_phase(ts.phases, *nl.mode_quadratures(ts, mode, mode).T)
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +827,7 @@ def test_traces_feed_tomography_roundtrip():
         nl.GenerationParams(theta=1.09, phi=3 * np.pi / 2, loss=0.25), 5)
     mode = default_composite()
     ts = nl.simulate_traces(truth, mode, 12000, PHASES, seed=10)
-    q = nl.mode_quadratures(ts, mode)
+    q = nl.mode_quadratures(ts, mode)[:, 0]
     ds = nl.TomographyDataset(phases=ts.phases, values=q)
     res = nl.mle_reconstruct(ds, dim=5)
     assert nl.fidelity(res.state, truth) >= 0.99

@@ -334,7 +334,7 @@ def bootstrap_einsum(data, dim, n_resamples, seed):
         resampled = nl.TomographyDataset(phases=data.phases[idx], values=data.values[idx])
         rho = oracles.mle_einsum(resampled.phases, resampled.values, dim)[0]
         state = nl.QuantumState(dim, rho)
-        dbs.append(nl.nlsq_db(state, 1.0, 3))
+        dbs.append(nl.nlsq_db(state))
         rhos.append(state.matrix)
     rhos = np.asarray(rhos)
     return np.std(dbs), np.sqrt(np.mean(np.abs(rhos - rhos.mean(axis=0)) ** 2, axis=0))
