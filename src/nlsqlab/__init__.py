@@ -21,7 +21,7 @@ from .temporal import (MatchedFilter, TemporalMode, TraceSet, composite_mode,
                        default_grid, design_matched_filter, gamma_from_hwhm,
                        load_traces, mode_overlap, mode_quadratures, mode_to_csv,
                        pca_mode_estimate, realtime_vs_postprocess, save_traces,
-                       simulate_traces, single_pole_mode)
+                       simulate_readout, simulate_traces, single_pole_mode)
 from .tomo import (BootstrapErrors, MleResult, TomographyDataset,
                    bootstrap_error, mle_reconstruct, oscillator_wavefunctions,
                    quadrature_pdf, read_dataset_csv, sample, write_dataset_csv)

@@ -293,6 +293,8 @@ def cmd_reconstruct(args) -> int:
 def cmd_pipeline(args) -> int:
     if args.n_per_phase < 1:
         raise InvalidInputError("n_per_phase must be at least 1")
+    if args.trace_events < 2:
+        raise InvalidInputError(f"--trace-events must be at least 2, got {args.trace_events}")
     _log(f"effective seed: {args.seed}")
     theta = _angle(args.theta, args.deg)
     phi = _angle(args.phi, args.deg)
@@ -323,16 +325,11 @@ def cmd_pipeline(args) -> int:
     if args.with_traces:
         mode = temporal.composite_mode(temporal.default_gammas(), 0.0, temporal.default_grid())
         filt = temporal.design_matched_filter(mode)
-        phases = tomo.DEFAULT_PHASES
-        n_events = args.trace_events * len(phases)
-        ts = temporal.simulate_traces(truth, mode, n_events,
-                                      np.repeat(phases, args.trace_events),
-                                      seed=args.seed + 1)
-        # The two calls of realtime_vs_postprocess, keeping q_rt for the
-        # reconstruction below.
-        q_pp, q_rt = temporal.mode_quadratures(ts, mode, filt.response).T
-        corr = temporal.correlations_by_phase(ts.phases, q_pp, q_rt)
-        rt_ds = tomo.TomographyDataset(phases=ts.phases, values=q_rt)
+        phases, q_pp, q_rt = temporal.simulate_readout(
+            truth, mode, filt, np.repeat(tomo.DEFAULT_PHASES, args.trace_events),
+            seed=args.seed + 1)
+        corr = temporal.correlations_by_phase(phases, q_pp, q_rt)
+        rt_ds = tomo.TomographyDataset(phases=phases, values=q_rt)
         rt_mle = tomo.mle_reconstruct(rt_ds, dim=dim)
         rt_result = nlsq.optimal_nonlinear_variance(rt_mle.state, kappa, order)
         report["realtime"] = {

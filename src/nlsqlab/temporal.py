@@ -212,11 +212,15 @@ def mode_overlap(a: TemporalMode, b: TemporalMode) -> float:
     """Squared normalized inner product |<a|b>|^2 of two modes on one grid.
     Modes that share one grid array, as a filter and the target it was
     designed on do, skip the comparison of the grids."""
+    return min(_inner(a, b) ** 2, 1.0)
+
+
+def _inner(a: TemporalMode, b: TemporalMode) -> float:
+    """Signed inner product sum_t a(t) b(t) dt of two modes on one grid."""
     if a.t is not b.t and (a.t.shape != b.t.shape
                            or not np.allclose(a.t, b.t, rtol=0, atol=1e-15)):
         raise DimensionError("modes live on different time grids")
-    inner = float(np.sum(a.samples * b.samples) * a.dt)
-    return min(inner ** 2, 1.0)
+    return float(np.sum(a.samples * b.samples) * a.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +383,21 @@ class TraceSet:
         return f"TraceSet(n_events={self.n_events}, n_bins={self.n_bins})"
 
 
+def _draw_events(state: QuantumState, mode: TemporalMode, n_events: int,
+                 phases, seed: int):
+    """The per-event LO phases (`phases` repeated to n_events), the
+    quadratures drawn at them from the first child stream of
+    SeedSequence(seed), and a Generator on the second child."""
+    if n_events < 1:
+        raise InvalidInputError("need at least one event")
+    if abs(float(np.sum(mode.samples ** 2) * mode.dt) - 1.0) > 1e-6:
+        raise InvalidInputError("mode must be normalized on its grid")
+    phase_per_event = np.resize(_lo_phases(phases), n_events)
+    rng_q, rng_rest = (np.random.default_rng(c)
+                       for c in np.random.SeedSequence(seed).spawn(2))
+    return phase_per_event, _draw(state, phase_per_event, rng_q.random(n_events)), rng_rest
+
+
 def simulate_traces(state: QuantumState, mode: TemporalMode, n_events: int,
                     phases, seed: int = 0) -> TraceSet:
     """Homodyne records q*f(t) + vacuum noise in the orthogonal complement.
@@ -391,19 +410,9 @@ def simulate_traces(state: QuantumState, mode: TemporalMode, n_events: int,
     subtracted along f once.  Integrating a trace against f therefore gives
     back the drawn quadrature sample up to float32 round-off.
     """
-    if n_events < 1:
-        raise InvalidInputError("need at least one event")
+    phase_per_event, q, rng_noise = _draw_events(state, mode, n_events, phases, seed)
     f = mode.samples
     dt = mode.dt
-    norm = float(np.sum(f ** 2) * dt)
-    if abs(norm - 1.0) > 1e-6:
-        raise InvalidInputError("mode must be normalized on its grid")
-    phase_per_event = np.resize(_lo_phases(phases), n_events)
-    ss = np.random.SeedSequence(seed)
-    rng_q, rng_noise = (np.random.default_rng(c) for c in ss.spawn(2))
-
-    q = _draw(state, phase_per_event, rng_q.random(n_events))
-
     # One block of rows at a time: the Generator fills a block with the next
     # values of its stream, so the result does not depend on _CHUNK.
     scale = np.float32(1.0 / math.sqrt(2.0 * dt))
@@ -416,6 +425,28 @@ def simulate_traces(state: QuantumState, mode: TemporalMode, n_events: int,
         block *= scale
         block -= np.outer((block @ f * dt - q[rows]).astype(np.float32), f32)
     return TraceSet(traces=traces, dt=dt, phases=phase_per_event, t=mode.t)
+
+
+def simulate_readout(state: QuantumState, mode: TemporalMode, filt: MatchedFilter,
+                     phases, seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phases, q_pp, q_rt): one event per entry of `phases`, with the
+    mode-weighted integral q_pp and the filter's readout q_rt of the trace
+    `simulate_traces` models, drawn from their exact joint law and with no
+    trace built.
+
+    A trace is q*f plus white vacuum noise with its component along f
+    removed, so for the response r with c = <r, f> its two projections are
+    q_pp = q and q_rt = c*q + sqrt((|r|^2 - c^2)/2)*z, with z standard
+    normal and independent of q.  q is drawn as `simulate_traces` draws it,
+    from the first child stream of SeedSequence(seed), and z from the
+    second child.
+    """
+    r = filt.response
+    c = _inner(r, mode)
+    # |r|^2 >= c^2 for the unit f, so only round-off can make this negative.
+    spread = math.sqrt(max(_inner(r, r) - c * c, 0.0) / 2.0)
+    phases, q, rng_z = _draw_events(state, mode, np.size(phases), phases, seed)
+    return phases, q, c * q + spread * rng_z.standard_normal(q.size)
 
 
 def pca_mode_estimate(traces: TraceSet, window=None) -> TemporalMode:

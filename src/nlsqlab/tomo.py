@@ -65,7 +65,7 @@ def quadrature_pdf(state: QuantumState, phase: float, x):
     """Probability density of a quadrature sample at the given LO phase."""
     scalar = np.isscalar(x)
     v = _rotated_wavefunctions(state.dim, float(phase), x)
-    pr = np.einsum("mx,mn,nx->x", v.conj(), state.matrix, v).real
+    pr = (v.conj() * (state.matrix @ v)).sum(0).real
     pr = np.clip(pr, 0.0, None)
     return float(pr[0]) if scalar else pr
 

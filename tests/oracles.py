@@ -146,6 +146,15 @@ def _wavefunctions(dim, x):
     return psi
 
 
+def quadrature_pdf_einsum(rho, phase, x):
+    """v^dag rho v at every x, as one three-operand einsum, with its bound
+    |v|^T |rho| |v| on the magnitude of the terms summed."""
+    dim = rho.shape[0]
+    v = np.exp(-1j * phase * np.arange(dim))[:, None] * _wavefunctions(dim, x)
+    pr = np.einsum("mx,mn,nx->x", v.conj(), rho, v).real
+    return np.clip(pr, 0.0, None), np.einsum("mx,mn,nx->x", abs(v), abs(rho), abs(v))
+
+
 def _einsum_projectors(dim, phase, edges, subdiv):
     n_bins = edges.size - 1
     width = edges[1] - edges[0]

@@ -506,20 +506,16 @@ def test_pipeline_small_deterministic(tmp_path, capsys):
         assert r >= 0.98
 
 
-def test_pipeline_projects_each_weighting_once(monkeypatch, capsys):
-    calls = []
-    real = nl.temporal.mode_quadratures
+def test_pipeline_simulates_no_traces(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pipeline built or projected a trace set")
 
-    def counting(traces, *modes):
-        calls.append(modes)
-        return real(traces, *modes)
-
-    monkeypatch.setattr(nl.temporal, "mode_quadratures", counting)
-    code, _, _ = run_cli(capsys, "pipeline", "--n-per-phase", "300",
-                         "--trace-events", "200")
+    monkeypatch.setattr(nl.temporal, "simulate_traces", refuse)
+    monkeypatch.setattr(nl.temporal, "mode_quadratures", refuse)
+    code, out, _ = run_cli(capsys, "pipeline", "--n-per-phase", "300",
+                           "--trace-events", "200")
     assert code == 0
-    assert len(calls) == 1  # one pass over the traces
-    assert len(calls[0]) == 2  # the mode and the filter response
+    assert len(json.loads(out)["realtime"]["correlations_by_phase_deg"]) == 6
 
 
 def test_pipeline_default_scale_accuracy(tmp_path, capsys):
@@ -545,6 +541,16 @@ def test_pipeline_no_traces(capsys):
 def test_pipeline_rejects_zero_samples(capsys):
     code, _, _ = run_cli(capsys, "pipeline", "--n-per-phase", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("events", ["0", "1", "-2"])
+def test_pipeline_needs_two_trace_events_per_phase(capsys, events):
+    code, out, err = run_cli(capsys, "pipeline", "--n-per-phase", "30",
+                             f"--trace-events={events}")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"--trace-events must be at least 2, got {events}" in err
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

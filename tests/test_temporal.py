@@ -811,6 +811,72 @@ def test_vacuum_correlation_equals_weighting_overlap():
         assert r == pytest.approx(inner, abs=3.5 * se)
 
 
+#: Packets whose searched filter misses them, with the squared overlap c^2
+#: of that filter: the one-rate packet's is exp(-gamma dt) on the default grid.
+MISSED_TARGETS = {
+    "one-rate": (lambda: nl.single_pole_mode(1e9, 0.0, nl.default_grid()), 0.8187),
+    "four-rate": (lambda: nl.composite_mode((*nl.default_gammas(), nl.gamma_from_hwhm(200e6)),
+                                            0.0, nl.default_grid()), 0.9976),
+}
+
+
+@pytest.mark.parametrize("name", MISSED_TARGETS)
+def test_readout_law_where_the_filter_misses_the_mode(name):
+    # Given q_pp, a trace's filter readout is c q_pp plus Gaussian noise of
+    # variance (|r|^2 - c^2)/2 that is independent of q_pp.  Both the traces
+    # and the law must show that within 5 standard errors of n draws: a
+    # variance estimate has relative error sqrt(2/n), and a correlation
+    # between independent arrays has error 1/sqrt(n).
+    make_target, c2 = MISSED_TARGETS[name]
+    mode = make_target()
+    filt = nl.design_matched_filter(mode)
+    r = filt.response
+    c = float(np.sum(r.samples * mode.samples) * mode.dt)
+    assert c ** 2 == pytest.approx(c2, abs=1e-4)
+    var = (float(np.sum(r.samples ** 2) * mode.dt) - c ** 2) / 2.0
+    state, n = nl.fock_state(1, 5), 20000
+    phases = np.resize(PHASES, n)
+    ts = nl.simulate_traces(state, mode, n, phases, seed=11)
+    by_traces = nl.mode_quadratures(ts, mode, r).T
+    by_law = nl.simulate_readout(state, mode, filt, phases, seed=11)[1:]
+    for q_pp, q_rt in (by_traces, by_law):
+        residual = q_rt - c * q_pp
+        assert abs(residual.mean()) <= 5.0 * math.sqrt(var / n)
+        assert abs(residual.var() / var - 1.0) <= 5.0 * math.sqrt(2.0 / n)
+        assert abs(np.corrcoef(residual, q_pp)[0, 1]) <= 5.0 / math.sqrt(n)
+    # the same seed draws the same quadratures either way
+    assert np.max(np.abs(by_law[0] - by_traces[0])) <= 1e-6
+
+
+def test_matched_readout_is_the_drawn_quadrature():
+    mode = default_composite()
+    filt = nl.design_matched_filter(mode)
+    c = float(np.sum(filt.response.samples * mode.samples) * mode.dt)
+    state = nl.fock_state(1, 5)
+    phases = np.repeat(PHASES, 300)
+    got_phases, q_pp, q_rt = nl.simulate_readout(state, mode, filt, phases, seed=6)
+    assert np.array_equal(q_rt, c * q_pp)
+    assert np.array_equal(got_phases, phases)
+    ts = nl.simulate_traces(state, mode, phases.size, phases, seed=6)
+    assert np.max(np.abs(nl.mode_quadratures(ts, mode)[:, 0] - q_pp)) <= 1e-6
+    again = nl.simulate_readout(state, mode, filt, phases, seed=6)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, (got_phases, q_pp, q_rt)))
+
+
+def test_readout_input_validation():
+    mode = default_composite()
+    filt = nl.design_matched_filter(mode)
+    other = nl.composite_mode(nl.default_gammas(), 0.0, nl.default_grid(dt=0.4e-9))
+    with pytest.raises(DimensionError, match="grid"):
+        nl.simulate_readout(nl.vacuum(5), mode, nl.MatchedFilter(filt.poles, other, 1.0), PHASES)
+    fake = types.SimpleNamespace(samples=mode.samples * 2.0, dt=mode.dt, t=mode.t)
+    with pytest.raises(InvalidInputError, match="normalized"):
+        nl.simulate_readout(nl.vacuum(5), fake, filt, PHASES)
+    for phases, message in (([], "need at least one event"), ([np.nan], "not finite")):
+        with pytest.raises(InvalidInputError, match=message):
+            nl.simulate_readout(nl.vacuum(5), mode, filt, phases)
+
+
 def test_correlation_needs_populated_phase_bins():
     mode = default_composite()
     ts = nl.simulate_traces(nl.vacuum(5), mode, 3, [0.0, 0.5, 1.0], seed=9)

@@ -12,6 +12,7 @@ from nlsqlab import tomo
 from nlsqlab.errors import DimensionError, InvalidInputError, TruncationError
 
 import oracles
+from strategies import psd_states
 
 POINT = nl.GenerationParams(theta=1.09, phi=3 * np.pi / 2, loss=0.25)
 
@@ -52,6 +53,17 @@ def test_pdf_phase_dependence_tracks_coherence():
     q0 = nl.quadrature_pdf(incoherent, 0.0, x)
     q90 = nl.quadrature_pdf(incoherent, np.pi / 2, x)
     assert np.abs(q0 - q90).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(psd_states(), st.floats(-10.0, 10.0))
+def test_pdf_matches_the_einsum_contraction(state, phase):
+    # The two contractions sum the same dim^2 terms in other orders, so they
+    # may differ by dim^2 rounding errors of the largest partial sum.
+    x = np.linspace(-8.0, 8.0, 1001)
+    ref, scale = oracles.quadrature_pdf_einsum(state.matrix, phase, x)
+    got = nl.quadrature_pdf(state, phase, x)
+    assert np.all(np.abs(got - ref) <= 2 * state.dim ** 2 * np.finfo(float).eps * scale)
 
 
 def test_pdf_matches_wigner_marginals():
