@@ -105,22 +105,28 @@ def fock_state(n: int, dim: int = DEFAULT_DIM) -> QuantumState:
 
 
 def coherent_state(alpha: complex, dim: int = DEFAULT_DIM) -> QuantumState:
-    """Coherent state truncated at the cutoff (renormalized)."""
+    """Coherent state truncated at the cutoff (renormalized); a population
+    above TRACE_TOL beyond the cutoff raises TruncationError."""
     n = np.arange(dim)
     with np.errstate(divide="ignore"):
         logmag = n * np.log(np.abs(alpha)) if alpha != 0 else np.where(n == 0, 0.0, -np.inf)
-    amps = np.exp(logmag - _log_factorials(dim) / 2.0) * np.exp(1j * n * np.angle(alpha))
-    return make_superposition(amps, dim)
+    logmag = logmag - _log_factorials(dim) / 2.0
+    _check_kept(np.sum(np.exp(2.0 * logmag - abs(alpha) ** 2)),
+                f"coherent state alpha={alpha}", dim)
+    return make_superposition(np.exp(logmag) * np.exp(1j * n * np.angle(alpha)), dim)
 
 
 def squeezed_vacuum(r: float, dim: int) -> QuantumState:
-    """Squeezed vacuum with Var(x) = exp(-2r)/2, truncated and renormalized."""
+    """Squeezed vacuum with Var(x) = exp(-2r)/2, truncated and renormalized;
+    a population above TRACE_TOL beyond the cutoff raises TruncationError."""
     n_pairs = np.arange((dim + 1) // 2)
     lf = _log_factorials(dim)
     th = np.tanh(r)
     with np.errstate(divide="ignore"):
         logmag = n_pairs * np.log(np.abs(th)) if th != 0 else np.where(n_pairs == 0, 0.0, -np.inf)
     logmag = logmag + 0.5 * lf[2 * n_pairs] - n_pairs * np.log(2.0) - lf[n_pairs]
+    log_cosh = abs(r) + math.log1p(math.exp(-2.0 * abs(r))) - math.log(2.0)
+    _check_kept(np.sum(np.exp(2.0 * logmag - log_cosh)), f"squeezed vacuum r={r}", dim)
     amps = np.zeros(dim)
     amps[2 * n_pairs] = np.sign(-th) ** n_pairs * np.exp(logmag)
     return make_superposition(amps, dim)
@@ -218,11 +224,17 @@ def displace(state: QuantumState, alpha: complex) -> QuantumState:
     """
     d = _displacement_tensor(state.dim, [alpha])[0]
     out = d @ state.matrix @ d.conj().T
-    leaked = 1.0 - float(out.trace().real)
-    if leaked > TRACE_TOL:
-        raise TruncationError(f"displacement by {alpha} leaks population {leaked:.3e} "
-                              f"above the cutoff dim={state.dim}; enlarge the cutoff")
+    _check_kept(out.trace().real, f"displacement by {alpha}", state.dim)
     return QuantumState(state.dim, out)
+
+
+def _check_kept(kept: float, what: str, dim: int) -> None:
+    """Raise TruncationError when a state cut at the cutoff `dim` keeps less
+    than 1 - TRACE_TOL of its population."""
+    leaked = 1.0 - float(kept)
+    if leaked > TRACE_TOL:
+        raise TruncationError(f"{what} leaks population {leaked:.3e} "
+                              f"above the cutoff dim={dim}; enlarge the cutoff")
 
 
 def wigner(state: QuantumState, xs, ps) -> np.ndarray:

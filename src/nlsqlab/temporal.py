@@ -363,7 +363,8 @@ class TraceSet:
             raise DimensionError("one LO phase per trace required")
         if t.size != traces.shape[1]:
             raise DimensionError("time grid must match the trace length")
-        if not np.all(np.isfinite(traces)):
+        # min and max carry any NaN or infinity, with no trace-sized mask.
+        if traces.size and not (np.isfinite(traces.min()) and np.isfinite(traces.max())):
             raise InvalidInputError("traces contain non-finite values")
         for arr in (traces, phases, t):
             arr.setflags(write=False)
@@ -457,8 +458,10 @@ def pca_mode_estimate(traces: TraceSet, window=None) -> TemporalMode:
     `window = (t_lo, t_hi)` restricts the analysis to bins inside the window
     (estimation error grows with the number of analyzed bins, so localizing
     around the herald helps); outside bins enter the returned mode as zeros.
-    The centered traces and their product stay float32; only the two
-    largest eigenpairs of the float64 covariance are computed, by block
+    No copy of the traces is made: the Gram matrix X^T X of the uncentered
+    window accumulates in float32, and the outer product of the float64
+    column means is subtracted from it in float64.  Only the two largest
+    eigenpairs of the float64 covariance are computed, by block
     Lanczos (`_top_two_eigenpairs`), which raises NumericalError when it does
     not converge.
     """
@@ -472,10 +475,10 @@ def pca_mode_estimate(traces: TraceSet, window=None) -> TemporalMode:
     # The grid increases, so the window is one slice: a view, not a copy.
     first, stop = int(inside[0]), int(inside[-1]) + 1
     x = traces.traces[:, first:stop]
-    x = np.subtract(x, x.mean(axis=0, dtype=np.float64),
-                    out=np.empty(x.shape, dtype=np.float32), casting="same_kind")
-    cov = (x.T @ x).astype(np.float64) / traces.n_events
-    del x  # free the centered copy before the eigensolver runs
+    mean = x.mean(axis=0, dtype=np.float64)
+    cov = (x.T @ x).astype(np.float64)
+    cov /= traces.n_events
+    cov -= np.outer(mean, mean)
     n = stop - first
     cov[np.diag_indices(n)] -= 1.0 / (2.0 * traces.dt)
     (mu2, mu1), vecs = _top_two_eigenpairs(cov)

@@ -264,12 +264,32 @@ def traces_one_shot(quadrature_cdf, f, dt, n_events, phases, seed):
     return x - np.outer(coef.astype(np.float32), f.astype(np.float32))
 
 
+# --- PCA ---------------------------------------------------------------------
+
+def centred_covariance(traces, keep):
+    """(covariance minus the vacuum floor 1/(2 dt), traces) of the bins
+    `keep`, from a centred float64 copy of the traces."""
+    x = traces.traces[:, keep].astype(np.float64)
+    centred = x - x.mean(axis=0)
+    cov = centred.T @ centred / traces.n_events
+    cov[np.diag_indices_from(cov)] -= 1.0 / (2.0 * traces.dt)
+    return cov, x
+
+
 # --- population above a photon-number cutoff ---------------------------------
 
 def coherent_tail(alpha: complex, dim: int) -> float:
     """Poisson population of levels >= dim in the coherent state |alpha>."""
     mean = abs(alpha) ** 2
     return 1.0 - sum(math.exp(-mean) * mean ** n / math.factorial(n) for n in range(dim))
+
+
+def squeezed_vacuum_tail(r: float, dim: int) -> float:
+    """Population of levels >= dim in the squeezed vacuum S(r)|0>:
+    P(2n) = C(2n, n) / 4^n * tanh(r)^(2n) / cosh(r)."""
+    th2 = math.tanh(r) ** 2
+    return 1.0 - sum(math.comb(2 * n, n) / 4 ** n * th2 ** n
+                     for n in range((dim + 1) // 2)) / math.cosh(r)
 
 
 # --- dataset CSV, one row at a time -------------------------------------------

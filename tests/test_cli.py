@@ -434,6 +434,14 @@ def test_pca_names_a_malformed_window(tmp_path, capsys, window):
                                     "expected two numbers LO,HI")
 
 
+def test_pca_of_a_zero_event_file_is_a_usage_error(tmp_path, capsys):
+    traces = tmp_path / "empty.bin"
+    traces.write_bytes(struct.pack("<IId", 0, 1001, 0.2))
+    code, out, err = run_cli(capsys, "pca", "--in", str(traces))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: need at least 1000 traces"
+
+
 @pytest.mark.parametrize("argv", [["nlsq", "--vacuum"], ["gate-noise", "--ancilla", "vacuum"]],
                          ids=["nlsq", "gate-noise"])
 def test_one_level_cutoff_is_a_usage_error(capsys, argv):

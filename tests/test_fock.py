@@ -227,7 +227,7 @@ def test_states_stay_physical_through_operations():
         state = nl.QuantumState(9, rho)
         assert_valid_state(nl.apply_loss(state, rng.uniform(0, 1)))
     assert_valid_state(nl.displace(nl.vacuum(30), 0.3 + 0.2j))
-    assert_valid_state(nl.squeezed_vacuum(0.8, 40))
+    assert_valid_state(nl.squeezed_vacuum(0.8, 70))
     assert_valid_state(nl.coherent_state(0.5j, 25))
 
 
@@ -298,6 +298,29 @@ def test_displace_names_population_leaked_above_cutoff(alpha):
     with pytest.raises(TruncationError, match=f"leaks population {leaked:.3e} "
                                               "above the cutoff dim=10"):
         nl.displace(nl.vacuum(10), alpha)
+
+
+@pytest.mark.parametrize("alpha, dim", [(3.0, 5), (2.0, 10), (1.5j, 12)])
+def test_coherent_state_names_population_cut_off(alpha, dim):
+    leaked = oracles.coherent_tail(alpha, dim)
+    with pytest.raises(TruncationError, match=f"leaks population {leaked:.3e} "
+                                              f"above the cutoff dim={dim}"):
+        nl.coherent_state(alpha, dim)
+
+
+@pytest.mark.parametrize("r, dim", [(0.8, 40), (-1.5, 30), (3.0, 10)])
+def test_squeezed_vacuum_names_population_cut_off(r, dim):
+    leaked = oracles.squeezed_vacuum_tail(r, dim)
+    with pytest.raises(TruncationError, match=f"leaks population {leaked:.3e} "
+                                              f"above the cutoff dim={dim}"):
+        nl.squeezed_vacuum(r, dim)
+
+
+def test_state_builders_at_zero_keep_the_vacuum():
+    # the zero amplitude takes the -inf log-magnitude path of both builders
+    for state in (nl.coherent_state(0.0, 2), nl.squeezed_vacuum(0.0, 2)):
+        assert_valid_state(state)
+        assert state.matrix[0, 0] == 1.0
 
 
 def test_squeezed_vacuum_variance():

@@ -291,8 +291,8 @@ SEARCHED_TARGETS = [
      0.9187903252949664),
     (lambda: nl.single_pole_mode(1e9, 0.0, nl.default_grid()),
      0.8187307530779822),
-    (lambda: _pca_estimate((-30e-9, 0.0)), 0.9889934825423335),
-    (lambda: _pca_estimate((-60e-9, 0.0)), 0.980113011662293),
+    (lambda: _pca_estimate((-30e-9, 0.0)), 0.988993482944944),
+    (lambda: _pca_estimate((-60e-9, 0.0)), 0.9801130128371581),
 ]
 
 
@@ -508,6 +508,14 @@ def test_traceset_validation():
     with pytest.raises(InvalidInputError):
         nl.TraceSet(traces=np.full((2, 3), np.nan), dt=1e-9, phases=np.zeros(2),
                     t=np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_traceset_rejects_one_nonfinite_sample(bad):
+    traces = np.zeros((3, 4))
+    traces[1, 2] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        nl.TraceSet(traces, 1e-9, np.zeros(3), np.zeros(4))
 
 
 def test_traceset_leaves_the_callers_array_writable():
@@ -742,6 +750,71 @@ def test_pca_eigensolver_step_cap_raises(monkeypatch, photon_traces):
     with pytest.raises(NumericalError, match="did not converge") as info:
         nl.pca_mode_estimate(photon_traces)
     assert type(info.value) is NumericalError
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_pca_subtracts_the_mean_of_a_displaced_state(monkeypatch, alpha):
+    # At one LO phase <q> = sqrt(2) alpha, so each bin's mean is far from 0
+    # and the covariance is the Gram matrix minus a large mu mu^T.
+    state = nl.displace(nl.fock_state(1, 60), alpha)
+    mode = default_composite()
+    ts = nl.simulate_traces(state, mode, 10000, [0.0], seed=23)
+    real = temporal._top_two_eigenpairs
+    seen = []
+    monkeypatch.setattr(temporal, "_top_two_eigenpairs",
+                        lambda cov: seen.append(cov) or real(cov))
+    est = nl.pca_mode_estimate(ts, window=(-30e-9, 0.0))
+    (cov,) = seen
+    keep = (ts.t >= -30e-9) & (ts.t <= 0.0)
+    ref, x = oracles.centred_covariance(ts, keep)
+    # The float32 Gram sums n products per entry: in any order, each entry is
+    # off by at most gamma_n = n u / (1 - n u) times the sum of their
+    # magnitudes (Higham, Accuracy and Stability, sec. 3.1).  The float64
+    # steps after it add far less.
+    n, u = ts.n_events, 2.0 ** -24
+    bound = n * u / (1.0 - n * u) * (np.abs(x).T @ np.abs(x)) / n
+    assert np.all(np.abs(cov - ref) <= bound)
+    mu = x.mean(axis=0)
+    assert np.outer(mu, mu).max() > 100 * bound.max()  # the mean term matters
+    # Davis-Kahan: the top eigenvector moves by sin(theta) <= |E| / (gap - |E|)
+    vals, vecs = np.linalg.eigh(ref)
+    err = np.linalg.norm(bound)
+    sin_theta = err / (vals[-1] - vals[-2] - err)
+    top = est.samples[keep] / np.linalg.norm(est.samples[keep])
+    assert (top @ vecs[:, -1]) ** 2 >= 1.0 - sin_theta ** 2
+
+
+def test_pca_memory_does_not_grow_with_events():
+    # No trace-sized array: the windowed estimate of 8000 events peaks no
+    # higher than that of 2000 (a copy of the window would add 3.6 MB).
+    mode = default_composite()
+    peaks = []
+    for n_events in (2000, 8000):
+        ts = nl.simulate_traces(nl.fock_state(1, 5), mode, n_events, PHASES, seed=4)
+        tracemalloc.start()
+        try:
+            nl.pca_mode_estimate(ts, window=(-30e-9, 0.0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 256 * 1024
+
+
+def test_load_traces_peak_is_the_payload(tmp_path):
+    mode = default_composite()
+    ts = nl.simulate_traces(nl.fock_state(1, 5), mode, 2000, PHASES, seed=4)
+    path = tmp_path / "traces.bin"
+    with open(path, "wb") as fh:
+        nl.save_traces(ts, fh)
+    with open(path, "rb") as fh:
+        tracemalloc.start()
+        try:
+            back = nl.load_traces(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert back.traces.tobytes() == ts.traces.tobytes()
+    assert peak <= path.stat().st_size + 2**20
 
 
 @pytest.mark.parametrize("window", [None, (-30e-9, 0.0)], ids=["full", "30ns"])
