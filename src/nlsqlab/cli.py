@@ -12,7 +12,9 @@ import contextlib
 import functools
 import json
 import math
+import os
 import shutil
+import stat
 import sys
 
 import numpy as np
@@ -44,13 +46,31 @@ def _angle(value: float, deg: bool) -> float:
     return math.radians(value) if deg else float(value)
 
 
+def _create(path: str, mode: str = "w"):
+    """Open the artifact `path` for writing as a new file.
+
+    An existing regular file with one link that this process may write is
+    unlinked and created again with its permissions, not truncated: on ext4
+    a truncate waits for the write-back of the data it discards.  Symlinks,
+    hard-linked files and devices are written through, and a failed unlink
+    falls back to truncation.
+    """
+    perms = 0o666
+    with contextlib.suppress(OSError):
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and os.access(path, os.W_OK):
+            os.unlink(path)
+            perms = stat.S_IMODE(st.st_mode)
+    return open(path, mode, opener=lambda name, flags: os.open(name, flags, perms))
+
+
 @contextlib.contextmanager
 def _output(path: str):
     """Text stream for an artifact: stdout for `-`, otherwise the named file."""
     if path == "-":
         yield sys.stdout
     else:
-        with open(path, "w") as fh:
+        with _create(path) as fh:
             yield fh
 
 
@@ -217,7 +237,7 @@ def cmd_filter_design(args) -> int:
     target = _mode_from_options(args)
     filt = temporal.design_matched_filter(target)
     if args.response_out:
-        with open(args.response_out, "w") as fh:
+        with _create(args.response_out) as fh:
             temporal.mode_to_csv(filt.response, fh)
     _print_json({
         "poles_rad_s": [float(p) for p in filt.poles],
@@ -234,7 +254,7 @@ def cmd_traces(args) -> int:
     mode = _mode_from_options(args)
     phases = [math.radians(p) for p in _floats(args.phases_deg)]
     ts = temporal.simulate_traces(state, mode, args.events, phases, seed=args.seed)
-    with open(args.out, "wb") as fh:
+    with _create(args.out, "wb") as fh:
         temporal.save_traces(ts, fh)
     _log(f"wrote {ts.n_events} traces x {ts.n_bins} bins to {args.out}")
     return EXIT_OK
@@ -281,7 +301,7 @@ def cmd_reconstruct(args) -> int:
         ds = tomo.read_dataset_csv(fh)
     result = tomo.mle_reconstruct(ds, dim=args.dim, max_iters=args.max_iters, tol=args.tol)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _create(args.out) as fh:
             json.dump(fock.state_to_json(result.state), fh, sort_keys=True)
             fh.write("\n")
     report = result.report()

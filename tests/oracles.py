@@ -209,6 +209,9 @@ def mle_einsum(phases, values, dim, max_iters=2000, tol=1e-9, n_bins=256,
         vals, vecs = np.linalg.eigh(rho)
         rho = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
         rho /= rho.trace().real
+    if rho[-1, -1].real > 1e-2:
+        warnings.append(f"population {rho[-1, -1].real:.3g} on the top level |{dim - 1}> "
+                        f"exceeds 0.01: dim {dim} may cut the state off")
     return rho, iters, np.asarray(trace), converged, tuple(warnings)
 
 

@@ -299,6 +299,97 @@ def test_sample_reconstruct_chain(tmp_path, capsys):
     assert nl.fidelity(state, truth) > 0.98
 
 
+# ---------------------------------------------------------------------------
+# rerunning onto an existing artifact
+# ---------------------------------------------------------------------------
+
+#: argv and output flag of a small run of each way the CLI writes a file.
+REWRITES = {
+    "traces": (["traces", "--fock", "1", "--events", "12", "--seed", "2"], "--out"),
+    "sample": (["sample", "--fock", "1", "--n-per-phase", "50", "--seed", "3"], "--out"),
+    "reconstruct": (["reconstruct", "--dim", "3"], "--out"),
+    "pipeline": (["pipeline", "--n-per-phase", "200", "--trace-events", "20", "--seed", "4"],
+                 "--out"),
+    "mode": (["mode"], "--out"),
+    "filter-design": (["filter-design"], "--response-out"),
+}
+
+
+def rewrite_argv(tmp_path, command):
+    argv, flag = REWRITES[command]
+    if command == "reconstruct":
+        data = tmp_path / "in.csv"
+        assert main(["sample", "--fock", "1", "--n-per-phase", "200", "--seed", "1",
+                     "--out", str(data)]) == 0
+        argv = [*argv, "--in", str(data)]
+    return argv, flag
+
+
+def write(capsys, argv, flag, path):
+    code, _, err = run_cli(capsys, *argv, flag, str(path))
+    assert code == 0, err
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("command", list(REWRITES))
+def test_rerun_replaces_the_file_with_fresh_bytes(tmp_path, capsys, command):
+    argv, flag = rewrite_argv(tmp_path, command)
+    fresh = write(capsys, argv, flag, tmp_path / "fresh")
+    out = tmp_path / "out"
+    old = b"old bytes\n" * 50_000  # longer than any of the artifacts
+    out.write_bytes(old)
+    out.chmod(0o600)
+    with open(out, "rb") as held:
+        assert write(capsys, argv, flag, out) == fresh
+        # a truncated file would read the new bytes here
+        assert held.read() == old
+    assert out.stat().st_mode & 0o777 == 0o600
+
+
+def test_rerun_writes_through_links(tmp_path, capsys):
+    argv, flag = REWRITES["sample"]
+    fresh = write(capsys, argv, flag, tmp_path / "fresh.csv")
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert write(capsys, argv, flag, link) == fresh
+    assert link.is_symlink() and target.read_bytes() == fresh
+    out, twin = tmp_path / "out.csv", tmp_path / "twin.csv"
+    out.write_text("old\n")
+    os.link(out, twin)
+    assert write(capsys, argv, flag, out) == fresh
+    assert twin.read_bytes() == fresh and out.samefile(twin)
+
+
+def test_rerun_onto_a_device_writes_through(monkeypatch, capsys):
+    def refuse(path, *args, **kwargs):
+        raise AssertionError(f"unlinked {path}")
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    argv, flag = REWRITES["sample"]
+    code, out, err = run_cli(capsys, *argv, flag, os.devnull)
+    assert (code, out) == (0, ""), err
+
+
+@pytest.mark.parametrize("patch", ["unlink", "access"])
+def test_rerun_truncates_a_file_it_cannot_replace(tmp_path, monkeypatch, capsys, patch):
+    """A failed unlink (say, in a read-only directory) and a file the process
+    may not write fall back to truncating the file, as a plain open does."""
+    def refuse(path, *args, **kwargs):
+        if patch == "access":
+            return False
+        raise PermissionError(13, "Permission denied", path)
+
+    argv, flag = REWRITES["sample"]
+    fresh = write(capsys, argv, flag, tmp_path / "fresh.csv")
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"old bytes\n" * 50_000)
+    monkeypatch.setattr(os, patch, refuse)
+    with open(out, "rb") as held:
+        assert write(capsys, argv, flag, out) == fresh
+        assert held.read() == fresh
+
+
 @pytest.mark.parametrize("body, line", [
     ("", None), ("0.0\n", 2), ("0.0,1.0,2.0\n", 2), ("0.0,1.0\n30.0\n", 3),
     ("zero,1.0\n", 2), ("0.0,\n", 2), ("nan,1.0\n", 2), ("0.0,inf\n", 2),
@@ -651,6 +742,24 @@ def test_cli_reads_no_private_module_name():
                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                      and node.value.id in modules and node.attr.startswith("_"))
     assert private == []
+
+
+def test_cli_writes_files_only_through_create():
+    """Every write-mode `open` in cli.py is the one in `_create`, so no
+    artifact is written by truncating an existing file."""
+    tree = ast.parse(pathlib.Path(nl.cli.__file__).read_text())
+    create = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_create")
+    inside = {id(node) for node in ast.walk(create)}
+    writers = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open") or id(node) in inside:
+            continue
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        if not all(isinstance(m, ast.Constant) and set(m.value) <= set("rbt") for m in modes):
+            writers.append(node.lineno)
+    assert writers == []
 
 
 def test_no_subcommand_loads_scipy(tmp_path):

@@ -223,6 +223,24 @@ def test_mle_nonconvergence_is_flagged_not_raised():
     assert res.report()["warnings"]
 
 
+def test_mle_flags_population_at_the_cutoff():
+    # <n> = 4: at dim 5 the estimate piles 31 % onto |4>
+    ds = nl.sample(nl.coherent_state(2.0, 30), n_per_phase=5000, seed=0)
+    res = nl.mle_reconstruct(ds, dim=5)
+    assert res.warnings == ("population 0.31 on the top level |4> exceeds 0.01: "
+                            "dim 5 may cut the state off",)
+    assert res.report()["warnings"] == list(res.warnings)
+    assert nl.mle_reconstruct(ds, dim=20).warnings == ()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mle_at_the_paper_point_stays_below_the_cutoff_warning(seed):
+    ds = nl.sample(nl.rho_theta_phi_L(POINT, 5), n_per_phase=1000, seed=seed)
+    res = nl.mle_reconstruct(ds, dim=5)
+    assert res.state.matrix[-1, -1].real <= 2e-3
+    assert res.warnings == ()
+
+
 @pytest.mark.parametrize("n_per_phase", [1000, 21000])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("dim", [3, 5, 10])
