@@ -208,8 +208,13 @@ def cmd_sweep(args) -> int:
     losses = _floats(args.losses)
     if not losses:
         raise InvalidInputError(f"--losses {args.losses!r} names no loss")
-    thetas = np.linspace(_angle(args.theta_min, args.deg),
-                         _angle(args.theta_max, args.deg), args.theta_steps)
+    bounds = []
+    for flag, value in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
+        bounds.append(_angle(value, args.deg))
+        if not 0.0 <= bounds[-1] <= math.pi:
+            unit = "180 deg" if args.deg else "pi rad"
+            raise InvalidInputError(f"{flag} must lie in [0, {unit}], got {value}")
+    thetas = np.linspace(*bounds, args.theta_steps)
     rows = nlsq.sweep_rows(thetas, _angle(args.phi, args.deg), losses,
                            args.kappa, args.order)
     with _output(args.out) as fh:

@@ -174,11 +174,12 @@ def apply_loss(state: QuantumState, loss: float) -> QuantumState:
 
 def loss_adjoint(block: np.ndarray, loss: float) -> np.ndarray:
     """Heisenberg-picture pure loss: sum_k A_k^dag O A_k for a dim x dim block,
-    so that Tr[apply_loss(rho) O] = Tr[rho loss_adjoint(O)]."""
-    dim = block.shape[0]
+    or for each block of a stack over the last two axes, so that
+    Tr[apply_loss(rho) O] = Tr[rho loss_adjoint(O)]."""
+    dim = block.shape[-1]
     out = np.zeros(block.shape, dtype=np.result_type(block, float))
     for k, weight in _loss_kraus_weights(dim, loss):
-        out[k:, k:] += np.outer(weight, weight) * block[: dim - k, : dim - k]
+        out[..., k:, k:] += np.outer(weight, weight) * block[..., : dim - k, : dim - k]
     return out
 
 

@@ -84,8 +84,9 @@ def _validate_order(order: int) -> None:
         raise InvalidInputError(f"gate order must be an integer >= 3, got {order}")
 
 
-def _moment_blocks(dim: int, order: int):
-    """dim x dim blocks of p, p^2, x^(N-1), x^(2N-2) and {p, x^(N-1)}/2.
+def _moment_blocks(dim: int, order: int) -> np.ndarray:
+    """(5, dim, dim) stack of the blocks of p, p^2, x^(N-1), x^(2N-2) and
+    {p, x^(N-1)}/2, in the order of the fields of `Moments`.
 
     Built at cutoff dim + 2(N-1) so the blocks give exact moments for any
     state supported on the first dim levels; each product forms only the
@@ -103,23 +104,18 @@ def _moment_blocks(dim: int, order: int):
     xm, pm = quadrature_ops(dim + pad)
     with np.errstate(over="ignore", invalid="ignore"):
         xn = np.linalg.matrix_power(xm, order - 1)
-        blocks = (
+        blocks = np.stack([
             pm[:dim, :dim],
             pm[:dim] @ pm[:, :dim],
             xn[:dim, :dim],
             xn[:dim] @ xn[:, :dim],
             (pm[:dim] @ xn[:, :dim] + xn[:dim] @ pm[:, :dim]) / 2.0,
-        )
+        ])
     # every entry of x^(N-1) that a block uses enters x^(2N-2) squared, so
     # the other blocks are finite where this one is
     if not np.all(np.isfinite(blocks[3])):
         raise NumericalError(overflow)
     return blocks
-
-
-def _real_trace(rho: np.ndarray, block: np.ndarray) -> float:
-    value = np.einsum("ij,ji->", block, rho)
-    return float(value.real)
 
 
 def noise_moments(state: QuantumState, order: int = 3) -> Moments:
@@ -131,15 +127,8 @@ def noise_moments(state: QuantumState, order: int = 3) -> Moments:
     _validate_order(order)
     if state.dim < 2:
         raise DimensionError(f"state cutoff {state.dim} too small; need at least 2")
-    bp, bp2, bxn, bxn2, bsym = _moment_blocks(state.dim, order)
-    rho = state.matrix
-    return Moments(
-        p=_real_trace(rho, bp),
-        p2=_real_trace(rho, bp2),
-        xn=_real_trace(rho, bxn),
-        xn2=_real_trace(rho, bxn2),
-        sym=_real_trace(rho, bsym),
-    )
+    traces = np.einsum("kij,ji->k", _moment_blocks(state.dim, order), state.matrix)
+    return Moments(*traces.real.tolist())
 
 
 def variance_from_moments(mom: Moments, lam: float, kappa: float, order: int) -> float:
@@ -303,15 +292,9 @@ def _power_sum(terms, s, derivative: int = 0) -> np.ndarray:
 
 def _shifted_square(y, y2, t):
     """Y^2 - 2 t Y + t^2, for one t or a stack of them that broadcasts
-    against the leading axes of Y.  t^2 is added on the diagonal alone: on
-    the (n, n, d, d) stack of `_ancilla_grid` at d = 11, adding t^2 times a
-    full identity made this four times slower."""
+    against the leading axes of Y."""
     t = np.asarray(t, dtype=float)[..., None, None]
-    h = (-2.0 * t) * y
-    h += y2
-    diag = np.arange(y.shape[-1])
-    h[..., diag, diag] += (t * t)[..., 0]
-    return h
+    return y2 - 2.0 * t * y + t * t * np.eye(y.shape[-1])
 
 
 def _ancilla_grid(y_terms, y2_terms):
@@ -410,7 +393,7 @@ def _optimal_ancilla(max_photon: int, kappa: float, order: int,
     """
     blocks = _moment_blocks(max_photon + 1, order)
     if loss is not None:
-        blocks = tuple(loss_adjoint(b, loss) for b in blocks)
+        blocks = loss_adjoint(blocks, loss)
     y_terms, y2_terms = _noise_terms(blocks, kappa, order)
 
     log_lams, ms, vals = _ancilla_grid(y_terms, y2_terms)
@@ -450,8 +433,7 @@ def optimize_coefficients(max_photon: int, kappa: float = 1.0, order: int = 3,
     _validate_order(order)
     if max_photon < 0:
         raise InvalidInputError("max photon number must be nonnegative")
-    coeffs = (np.array([1.0 + 0.0j]) if max_photon == 0 else
-              _canonical_coeffs(_optimal_ancilla(max_photon, kappa, order, loss)))
+    coeffs = _canonical_coeffs(_optimal_ancilla(max_photon, kappa, order, loss))
     state = make_superposition(coeffs, max(max_photon + 1, 2))
     if loss is not None:
         state = apply_loss(state, loss)

@@ -223,8 +223,11 @@ def _binned(data: TomographyDataset, dim: int, n_bins: int, support,
     phases = data.unique_phases()
     k = np.searchsorted(phases, data.phases)
     # The arithmetic bin is off by at most one near an edge; the edge
-    # comparisons settle it, as np.histogram does for uniform bins.
-    b = np.clip((x - edges[0]) * (n_bins / (edges[-1] - edges[0])), 0, n_bins - 1).astype(int)
+    # comparisons settle it, as np.histogram does for uniform bins.  x is
+    # clipped to the support first, so that a huge sample cannot overflow
+    # the product; a sample outside the support gets cell -1 below anyway.
+    b = np.clip((np.clip(x, edges[0], edges[-1]) - edges[0]) * (n_bins / (edges[-1] - edges[0])),
+                0, n_bins - 1).astype(int)
     b -= x < edges[b]
     b += (x >= edges[b + 1]) & (b < n_bins - 1)
     cell = np.where((x >= edges[0]) & (x <= edges[-1]), k * n_bins + b, -1)
@@ -374,8 +377,8 @@ def read_dataset_csv(fh) -> TomographyDataset:
     """Parse a dataset CSV with numpy's C reader.
 
     CRLF endings, blank and whitespace-only lines and spaces around fields
-    are accepted.  Degrees become radians through math.radians, once per
-    distinct phase.  A row that is not two numeric fields raises
+    are accepted.  Degrees become radians through np.radians, which rounds
+    as math.radians does.  A row that is not two numeric fields raises
     InvalidInputError naming its line (see _malformed_row), and so does a
     row holding NaN or infinity.
     """
@@ -393,9 +396,7 @@ def read_dataset_csv(fh) -> TomographyDataset:
         table = None
     if table is None or table.shape[1] != 2 or not np.isfinite(table).all():
         raise InvalidInputError(_malformed_row(fh))
-    degrees, index = np.unique(table[:, 0], return_inverse=True)
-    radians = np.array([math.radians(d) for d in degrees.tolist()])
-    return TomographyDataset(phases=radians[index], values=table[:, 1])
+    return TomographyDataset(phases=np.radians(table[:, 0]), values=table[:, 1])
 
 
 def _malformed_row(fh) -> str:

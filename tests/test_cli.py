@@ -1,6 +1,7 @@
 import argparse
 import ast
 import json
+import math
 import os
 import pathlib
 import struct
@@ -249,17 +250,36 @@ def test_sweep_writes_loadable_csv(tmp_path, capsys):
                                      "db", "lambda_opt"}
 
 
-@pytest.mark.parametrize("flags, flag", [(["--theta-steps", "0"], "--theta-steps"),
-                                         (["--theta-steps=-3"], "--theta-steps"),
-                                         (["--losses", ","], "--losses"),
-                                         (["--losses="], "--losses")],
-                         ids=["zero-steps", "negative-steps", "comma-losses", "empty-losses"])
-def test_empty_sweep_is_a_usage_error(tmp_path, capsys, flags, flag):
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--theta-steps", "0"], "--theta-steps"),
+    (["sweep", "--theta-steps=-3"], "--theta-steps"),
+    (["sweep", "--losses", ","], "--losses"),
+    (["sweep", "--losses="], "--losses"),
+    # an infinite bound used to reach np.linspace and warn before failing
+    (["sweep", "--theta-min=inf"], "--theta-min must lie in [0, pi rad]"),
+    (["sweep", "--theta-max=-inf"], "--theta-max must lie in [0, pi rad]"),
+    (["sweep", "--theta-min=nan"], "--theta-min"),
+    (["sweep", "--theta-max", "3.2"], "--theta-max"),
+    (["--deg", "sweep", "--theta-min=-1"], "--theta-min must lie in [0, 180 deg]"),
+    (["--deg", "sweep", "--theta-max", "180.5"], "--theta-max"),
+], ids=["zero-steps", "negative-steps", "comma-losses", "empty-losses", "inf-theta-min",
+        "minus-inf-theta-max", "nan-theta-min", "theta-max-past-pi", "deg-negative-theta-min",
+        "deg-theta-max-past-180"])
+def test_empty_sweep_is_a_usage_error(tmp_path, capsys, argv, flag):
     out_file = tmp_path / "sweep.csv"
-    code, out, err = run_cli(capsys, "sweep", *flags, "--out", str(out_file))
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].startswith(f"error: {flag}")
     assert not out_file.exists()
+
+
+def test_sweep_theta_bounds_at_zero_and_pi_are_accepted(capsys):
+    for argv in (["sweep", "--theta-min", "0", "--theta-max", repr(math.pi)],
+                 ["--deg", "sweep", "--theta-min", "180", "--theta-max", "0"]):
+        code, out, _ = run_cli(capsys, *argv, "--theta-steps", "2", "--losses", "0")
+        assert code == 0
+        thetas = [float(row.split(",")[0]) for row in out.splitlines()[1:]]
+        assert sorted(thetas) == [0.0, math.pi]
 
 
 def test_sweep_unwritable_path(capsys):

@@ -209,6 +209,11 @@ def test_loss_adjoint_is_heisenberg_picture():
             assert heisenberg == pytest.approx(schroedinger, abs=1e-12)
         assert np.allclose(loss_adjoint(np.eye(dim), rng.uniform()), np.eye(dim),
                            atol=1e-14)
+        # a stack goes through block by block, bit for bit
+        stack = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+        loss = rng.uniform()
+        np.testing.assert_array_equal(loss_adjoint(stack, loss),
+                                      [loss_adjoint(op, loss) for op in stack])
 
 
 def test_loss_range_error():

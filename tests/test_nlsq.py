@@ -312,9 +312,12 @@ def test_optimize_single_photon_sector():
 
 
 def test_optimize_vacuum_only():
-    coeffs, res = nl.optimize_coefficients(0)
-    assert coeffs.tolist() == [1.0 + 0.0j]
-    assert res.ratio == pytest.approx(1.0, abs=1e-12)
+    # M = 0 runs the same search as every M; its one level is the vacuum
+    for order in (3, 4, 5):
+        for loss in (None, 0.25, 1.0):
+            coeffs, res = nl.optimize_coefficients(0, order=order, loss=loss)
+            assert coeffs.tolist() == [1.0 + 0.0j]
+            assert res.ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_optimize_under_loss_sits_between_ideal_and_vacuum():
@@ -435,10 +438,10 @@ def test_ancilla_eigenvalue_derivatives_match_finite_differences(max_photon, ord
                                                                  blocks_dtype):
     blocks = nlsq._moment_blocks(max_photon + 1, order)
     if loss is not None:
-        blocks = tuple(fock.loss_adjoint(b, loss) for b in blocks)
+        blocks = fock.loss_adjoint(blocks, loss)
     # the real parts of Hermitian blocks are real symmetric blocks
-    blocks = tuple(b.real if blocks_dtype is float else b for b in blocks)
-    assert all(b.dtype == np.dtype(blocks_dtype) for b in blocks)
+    blocks = blocks.real if blocks_dtype is float else blocks
+    assert blocks.dtype == np.dtype(blocks_dtype)
     terms = nlsq._noise_terms(blocks, 1.0, order)
 
     def lowest(u):
@@ -467,7 +470,7 @@ def test_ancilla_grid_matches_per_lambda_loop(max_photon, order, loss):
     # full loss makes Y a multiple of the identity, so every grid row is flat
     blocks = nlsq._moment_blocks(max_photon + 1, order)
     if loss is not None:
-        blocks = tuple(fock.loss_adjoint(b, loss) for b in blocks)
+        blocks = fock.loss_adjoint(blocks, loss)
     terms = nlsq._noise_terms(blocks, 1.0, order)
     log_lams, ms, vals = nlsq._ancilla_grid(*terms)
     ref_lams, ref_ms, ref_vals = oracles.ancilla_grid_per_lambda(

@@ -326,9 +326,38 @@ def test_mle_matches_einsum_reference_at_edges_and_outside(binning):
     assert res.warnings[0].startswith("dropped ")
 
 
+def with_extra_samples(base, extra):
+    """`base` plus the values `extra`, one each at the first unique phases."""
+    extra = np.asarray(extra, dtype=float)
+    return nl.TomographyDataset(
+        phases=np.concatenate([base.phases, base.unique_phases()[:extra.size]]),
+        values=np.concatenate([base.values, extra]))
+
+
+def test_mle_drops_huge_samples_without_overflow():
+    # the arithmetic bin index of 1e308 used to overflow with a RuntimeWarning
+    base = nl.sample(nl.rho_theta_phi_L(POINT, 5), n_per_phase=1000, seed=13)
+    ref = nl.mle_reconstruct(base, dim=5)
+    res = nl.mle_reconstruct(with_extra_samples(base, [1e308, -1e308]), dim=5)
+    np.testing.assert_array_equal(res.state.matrix, ref.state.matrix)
+    assert (res.iters, res.converged) == (ref.iters, ref.converged)
+    assert res.warnings == (f"dropped 2 samples outside {tomo.MLE_SUPPORT}",) + ref.warnings
+
+
 # ---------------------------------------------------------------------------
 # bootstrap errors
 # ---------------------------------------------------------------------------
+
+def test_bootstrap_drops_huge_samples_like_any_outside_the_support():
+    # the same draws as with two moderate outliers, and no overflow warning
+    base = nl.sample(nl.rho_theta_phi_L(POINT, 5), n_per_phase=300, seed=13)
+    huge = nl.bootstrap_error(with_extra_samples(base, [1e308, -1e308]), dim=5,
+                              n_resamples=3, seed=2)
+    near = nl.bootstrap_error(with_extra_samples(base, [10.0, -10.0]), dim=5,
+                              n_resamples=3, seed=2)
+    assert huge.db == near.db
+    np.testing.assert_array_equal(huge.rho, near.rho)
+
 
 def test_bootstrap_requires_resamples():
     ds = nl.sample(nl.vacuum(5), n_per_phase=50, seed=0)
