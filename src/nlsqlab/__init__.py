@@ -5,17 +5,15 @@ tomography, and the noise budget of the measurement-based cubic phase gate.
 
 from .errors import (AmbiguityError, DegeneratePoleError, DimensionError,
                      InvalidInputError, NumericalError, TruncationError)
-from .fock import (QuantumState, apply_loss, coherent_state, displace,
-                   fidelity, fock_state, make_superposition, quadrature_ops,
-                   squeezed_vacuum, state_from_json, state_to_json, vacuum,
-                   wigner)
+from .fock import (QuantumState, apply_loss, fidelity, fock_state,
+                   make_superposition, quadrature_ops, state_from_json,
+                   state_to_json, vacuum, wigner)
 from .gate import GateNoiseReport, propagate, required_ancilla_db
 from .genmodel import (FitResult, GenerationParams, count_rate_ratio, fit_phi_L,
                        herald, rho_theta_phi_L)
 from .nlsq import (NlsqResult, kappa_rescale, nlsq_db, noise_moments,
-                   nonlinear_variance, optimal_nonlinear_variance,
-                   optimize_coefficients, sweep_rows, vacuum_optimum,
-                   write_sweep_csv)
+                   optimal_nonlinear_variance, optimize_coefficients,
+                   sweep_rows, vacuum_optimum, write_sweep_csv)
 from .temporal import (MatchedFilter, TemporalMode, TraceSet, composite_mode,
                        composite_weights, correlations_by_phase, default_gammas,
                        default_grid, design_matched_filter, gamma_from_hwhm,

@@ -28,6 +28,9 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 PHASES_DEG = ",".join(f"{math.degrees(p):g}" for p in tomo.DEFAULT_PHASES)
+#: `sweep` and `pipeline` apply their default angles after the `--deg`
+#: conversion, so a default is the same angle in either unit.
+_DEFAULT_PHI = 3.0 * math.pi / 2.0
 
 
 def _print_json(obj) -> None:
@@ -97,6 +100,13 @@ def _state_from_options(ns: dict, deg: bool) -> fock.QuantumState:
         # reject one below the state's number of levels.
         return max(fock.MIN_TWO_LEVEL_DIM, levels) if ns.get("dim") is None else ns["dim"]
 
+    # `--fock 0` selects a state too, so no truthiness test
+    given = [f"--{key}" for key in ("coeffs", "fock", "theta", "vacuum")
+             if ns.get(key) is not None and ns.get(key) is not False]
+    if len(given) > 1:
+        raise InvalidInputError(f"conflicting state selectors {' '.join(given)}: give one")
+    if ns.get("phi") is not None and ns.get("theta") is None:
+        raise InvalidInputError("--phi needs --theta")
     if ns.get("coeffs") is not None:
         coeffs = [complex(c) for c in ns["coeffs"]]
         state = fock.make_superposition(coeffs, cutoff(len(coeffs)))
@@ -116,7 +126,7 @@ def _state_from_options(ns: dict, deg: bool) -> fock.QuantumState:
         raise InvalidInputError(
             "no state given: use --vacuum, --fock, --coeffs or --theta/--phi/--loss"
         )
-    if ns.get("loss") and ns.get("theta") is None:
+    if ns.get("loss"):
         state = fock.apply_loss(state, ns["loss"])
     return state
 
@@ -210,13 +220,13 @@ def cmd_sweep(args) -> int:
         raise InvalidInputError(f"--losses {args.losses!r} names no loss")
     bounds = []
     for flag, value in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
-        bounds.append(_angle(value, args.deg))
+        bounds.append(math.pi if value is None else _angle(value, args.deg))
         if not 0.0 <= bounds[-1] <= math.pi:
             unit = "180 deg" if args.deg else "pi rad"
             raise InvalidInputError(f"{flag} must lie in [0, {unit}], got {value}")
     thetas = np.linspace(*bounds, args.theta_steps)
-    rows = nlsq.sweep_rows(thetas, _angle(args.phi, args.deg), losses,
-                           args.kappa, args.order)
+    phi = _DEFAULT_PHI if args.phi is None else _angle(args.phi, args.deg)
+    rows = nlsq.sweep_rows(thetas, phi, losses, args.kappa, args.order)
     with _output(args.out) as fh:
         nlsq.write_sweep_csv(rows, fh)
     return EXIT_OK
@@ -321,8 +331,8 @@ def cmd_pipeline(args) -> int:
     if args.trace_events < 2:
         raise InvalidInputError(f"--trace-events must be at least 2, got {args.trace_events}")
     _log(f"effective seed: {args.seed}")
-    theta = _angle(args.theta, args.deg)
-    phi = _angle(args.phi, args.deg)
+    theta = 1.09 if args.theta is None else _angle(args.theta, args.deg)
+    phi = _DEFAULT_PHI if args.phi is None else _angle(args.phi, args.deg)
     params = genmodel.GenerationParams(theta=theta, phi=phi, loss=args.loss)
     dim, kappa, order = args.dim, args.kappa, args.order
     truth = genmodel.rho_theta_phi_L(params, dim)
@@ -399,9 +409,9 @@ def _optimize_options(sp: argparse.ArgumentParser) -> None:
 
 def _sweep_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--theta-min", type=float, default=0.0)
-    sp.add_argument("--theta-max", type=float, default=math.pi)
+    sp.add_argument("--theta-max", type=float, help="default pi rad")
     sp.add_argument("--theta-steps", type=int, default=33)
-    sp.add_argument("--phi", type=float, default=3.0 * math.pi / 2.0)
+    sp.add_argument("--phi", type=float, help="default 3 pi/2 rad")
     sp.add_argument("--losses", default="0,0.25,0.5")
     _add_gate_options(sp)
     sp.add_argument("--out", default="-")
@@ -458,8 +468,8 @@ def _reconstruct_options(sp: argparse.ArgumentParser) -> None:
 
 
 def _pipeline_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--theta", type=float, default=1.09)
-    sp.add_argument("--phi", type=float, default=3.0 * math.pi / 2.0)
+    sp.add_argument("--theta", type=float, help="default 1.09 rad")
+    sp.add_argument("--phi", type=float, help="default 3 pi/2 rad")
     sp.add_argument("--loss", type=float, default=0.25)
     sp.add_argument("--n-per-phase", type=int, default=tomo.DEFAULT_EVENTS_PER_PHASE)
     sp.add_argument("--seed", type=int, default=0)

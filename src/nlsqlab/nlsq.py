@@ -132,17 +132,11 @@ def noise_moments(state: QuantumState, order: int = 3) -> Moments:
 
 
 def variance_from_moments(mom: Moments, lam: float, kappa: float, order: int) -> float:
+    """Variance of lam*p - (N*kappa/lam^(N-1)) x^(N-1) from a state's moments."""
     if not lam > 0:
         raise InvalidInputError(f"lambda must be positive, got {lam}")
     coeff = order * kappa / lam ** (order - 1)
     return lam ** 2 * mom.var_p + coeff ** 2 * mom.var_xn - 2.0 * lam * coeff * mom.cov
-
-
-def nonlinear_variance(state: QuantumState, lam: float, kappa: float = 1.0,
-                       order: int = 3) -> float:
-    """Variance of lam*p - (N*kappa/lam^(N-1)) x^(N-1) in the given state."""
-    mom = noise_moments(state, order)
-    return variance_from_moments(mom, lam, kappa, order)
 
 
 def _validate_kappa(kappa: float) -> None:

@@ -8,6 +8,7 @@ own implementation paths.
 import math
 
 import numpy as np
+import scipy.linalg
 
 SQRT2 = np.sqrt(2.0)
 
@@ -279,20 +280,37 @@ def centred_covariance(traces, keep):
     return cov, x
 
 
-# --- population above a photon-number cutoff ---------------------------------
+# --- Gaussian test states in closed form -------------------------------------
 
-def coherent_tail(alpha: complex, dim: int) -> float:
-    """Poisson population of levels >= dim in the coherent state |alpha>."""
-    mean = abs(alpha) ** 2
-    return 1.0 - sum(math.exp(-mean) * mean ** n / math.factorial(n) for n in range(dim))
+def _pure(psi) -> np.ndarray:
+    psi = np.asarray(psi, dtype=complex)
+    psi = psi / np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
 
 
-def squeezed_vacuum_tail(r: float, dim: int) -> float:
-    """Population of levels >= dim in the squeezed vacuum S(r)|0>:
-    P(2n) = C(2n, n) / 4^n * tanh(r)^(2n) / cosh(r)."""
-    th2 = math.tanh(r) ** 2
-    return 1.0 - sum(math.comb(2 * n, n) / 4 ** n * th2 ** n
-                     for n in range((dim + 1) // 2)) / math.cosh(r)
+def coherent_state(alpha: complex, dim: int) -> np.ndarray:
+    """|alpha><alpha| cut at `dim` levels and renormalised: amplitudes
+    alpha^n / sqrt(n!)."""
+    return _pure([alpha ** n / math.sqrt(math.factorial(n)) for n in range(dim)])
+
+
+def squeezed_vacuum(r: float, dim: int) -> np.ndarray:
+    """S(r)|0><0|S(r)^dag, Var(x) = exp(-2r)/2, cut at `dim` levels and
+    renormalised: amplitude (-tanh r)^n sqrt(C(2n, n)) / 2^n on |2n>."""
+    psi = np.zeros(dim)
+    for n in range((dim + 1) // 2):
+        psi[2 * n] = (-math.tanh(r)) ** n * math.sqrt(math.comb(2 * n, n)) / 2 ** n
+    return _pure(psi)
+
+
+def displace(rho: np.ndarray, alpha: complex) -> np.ndarray:
+    """D(alpha) rho D(alpha)^dag on the cutoff of `rho`, with D the matrix
+    exponential of alpha a^dag - alpha* a on twice as many levels, so that
+    the cut of the generator does not reach the kept block."""
+    dim = rho.shape[0]
+    a = np.diag(np.sqrt(np.arange(1.0, 2 * dim)), k=1)
+    d = scipy.linalg.expm(alpha * a.T - np.conj(alpha) * a)[:dim, :dim]
+    return d @ rho @ d.conj().T
 
 
 # --- dataset CSV, one row at a time -------------------------------------------

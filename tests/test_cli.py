@@ -15,6 +15,7 @@ import pytest
 
 import nlsqlab as nl
 from nlsqlab.cli import build_parser, cmd_gate_noise, main
+from nlsqlab.nlsq import variance_from_moments
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +81,44 @@ def test_usage_error_without_state(capsys):
     code, _, err = run_cli(capsys, "nlsq")
     assert code == 2
     assert "state" in err
+
+
+def option_tokens(options):
+    """Command-line tokens of a `--config` option dict: `True` is a bare
+    switch and a list a run of values."""
+    tokens = []
+    for key, value in options.items():
+        tokens.append("--" + key.replace("_", "-"))
+        if value is not True:
+            tokens += value if isinstance(value, list) else [str(value)]
+    return tokens
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"coeffs": ["0.79", "0-0.61j"], "theta": 1.09, "loss": 0.25},
+     "conflicting state selectors --coeffs --theta"),
+    ({"fock": 1, "theta": 1.09, "loss": 0.25}, "conflicting state selectors --fock --theta"),
+    ({"fock": 0, "vacuum": True}, "conflicting state selectors --fock --vacuum"),
+    ({"coeffs": ["1"], "fock": 2, "vacuum": True},
+     "conflicting state selectors --coeffs --fock --vacuum"),
+    ({"fock": 1, "phi": 1.0}, "--phi needs --theta"),
+], ids=["coeffs-theta", "fock-theta", "fock0-vacuum", "three", "phi-without-theta"])
+@pytest.mark.parametrize("via", ["flags", "config", "both"])
+@pytest.mark.parametrize("command", ["nlsq", "traces", "sample"])
+def test_conflicting_state_selectors_are_usage_errors(tmp_path, capsys, command, via,
+                                                      options, message):
+    first = dict(list(options.items())[:1])
+    in_file = {"flags": {}, "config": options, "both": first}[via]
+    flags = option_tokens({k: v for k, v in options.items() if k not in in_file})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(in_file))
+    out_file = tmp_path / "out"
+    if command != "nlsq":
+        flags += ["--out", str(out_file)]
+    code, out, err = run_cli(capsys, "--config", str(cfg), command, *flags)
+    assert (code, out) == (2, "")
+    assert f"error: {message}" in err
+    assert not out_file.exists()
 
 
 def test_usage_error_bad_subcommand(capsys):
@@ -280,6 +319,32 @@ def test_sweep_theta_bounds_at_zero_and_pi_are_accepted(capsys):
         assert code == 0
         thetas = [float(row.split(",")[0]) for row in out.splitlines()[1:]]
         assert sorted(thetas) == [0.0, math.pi]
+
+
+@pytest.mark.parametrize("argv, angles", [
+    (["sweep"], {"theta_max": 180, "phi": 270}),
+    (["pipeline", "--no-traces", "--n-per-phase", "300"], {"theta": 62.45, "phi": 270}),
+], ids=["sweep", "pipeline"])
+def test_deg_keeps_the_default_angles(tmp_path, capsys, argv, angles):
+    code, radians, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, "--deg", *argv)[:2] == (0, radians)
+    # an angle from --config is in the unit of --deg, as a flag is
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(angles))
+    code, flagged, _ = run_cli(capsys, "--deg", *argv, *option_tokens(angles))
+    assert code == 0
+    assert run_cli(capsys, "--config", str(cfg), "--deg", *argv)[:2] == (0, flagged)
+
+
+def test_deg_pipeline_model_matches_radians(capsys):
+    def model_db(*argv):
+        code, out, _ = run_cli(capsys, *argv, "--no-traces", "--n-per-phase", "300")
+        assert code == 0
+        return json.loads(out)["model"]["db"]
+
+    assert model_db("--deg", "pipeline", "--theta", "62.45") == pytest.approx(
+        model_db("pipeline", "--theta", "1.08996"), abs=1e-3)
 
 
 def test_sweep_unwritable_path(capsys):
@@ -516,9 +581,9 @@ def test_gate_noise_specs(capsys):
                            "--ancilla", "coeffs:0.79,-0.61j", "--sqz-var", "0.1")
     assert code == 0
     blob = json.loads(out)
+    ancilla = nl.noise_moments(nl.make_superposition([0.79, -0.61j], 6))
     assert blob["ancilla_excess"] == pytest.approx(
-        nl.nonlinear_variance(nl.make_superposition([0.79, -0.61j], 6), 1.0),
-        abs=1e-9)
+        variance_from_moments(ancilla, 1.0, 1.0, 3), abs=1e-9)
     code, out, _ = run_cli(capsys, "gate-noise", "--input", "rho:1.0,4.0,0.2",
                            "--ancilla", "fock:1", "--sqz-var", "0")
     assert code == 0

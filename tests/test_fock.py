@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import nlsqlab as nl
-from nlsqlab.errors import DimensionError, InvalidInputError, TruncationError
+from nlsqlab.errors import DimensionError, InvalidInputError
 
 import oracles
 from strategies import psd_states
@@ -231,9 +231,6 @@ def test_states_stay_physical_through_operations():
         rho /= np.trace(rho).real
         state = nl.QuantumState(9, rho)
         assert_valid_state(nl.apply_loss(state, rng.uniform(0, 1)))
-    assert_valid_state(nl.displace(nl.vacuum(30), 0.3 + 0.2j))
-    assert_valid_state(nl.squeezed_vacuum(0.8, 70))
-    assert_valid_state(nl.coherent_state(0.5j, 25))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +268,7 @@ def test_wigner_empty_grid_error():
 
 
 # ---------------------------------------------------------------------------
-# displacement and squeezed vacuum
+# log factorials
 # ---------------------------------------------------------------------------
 
 @given(st.integers(0, 1000))
@@ -280,61 +277,6 @@ def test_log_factorials_match_gammaln(n):
 
     np.testing.assert_allclose(_log_factorials(n), gammaln(np.arange(n) + 1.0),
                                rtol=1e-15, atol=0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.complex_numbers(max_magnitude=1.0))
-def test_displaced_vacuum_is_coherent(alpha):
-    displaced = nl.displace(nl.vacuum(25), alpha)
-    coherent = nl.coherent_state(alpha, 25)
-    assert np.abs(displaced.matrix - coherent.matrix).max() < 1e-10
-
-
-def test_displacement_shifts_means():
-    x, p = nl.quadrature_ops(30)
-    state = nl.displace(nl.vacuum(30), 0.2 + 0.35j)
-    assert expectation(state, x) == pytest.approx(np.sqrt(2) * 0.2, abs=1e-10)
-    assert expectation(state, p) == pytest.approx(np.sqrt(2) * 0.35, abs=1e-10)
-
-
-@pytest.mark.parametrize("alpha", [1.0, 2.0, 1.5j])
-def test_displace_names_population_leaked_above_cutoff(alpha):
-    leaked = oracles.coherent_tail(alpha, 10)
-    with pytest.raises(TruncationError, match=f"leaks population {leaked:.3e} "
-                                              "above the cutoff dim=10"):
-        nl.displace(nl.vacuum(10), alpha)
-
-
-@pytest.mark.parametrize("alpha, dim", [(3.0, 5), (2.0, 10), (1.5j, 12)])
-def test_coherent_state_names_population_cut_off(alpha, dim):
-    leaked = oracles.coherent_tail(alpha, dim)
-    with pytest.raises(TruncationError, match=f"leaks population {leaked:.3e} "
-                                              f"above the cutoff dim={dim}"):
-        nl.coherent_state(alpha, dim)
-
-
-@pytest.mark.parametrize("r, dim", [(0.8, 40), (-1.5, 30), (3.0, 10)])
-def test_squeezed_vacuum_names_population_cut_off(r, dim):
-    leaked = oracles.squeezed_vacuum_tail(r, dim)
-    with pytest.raises(TruncationError, match=f"leaks population {leaked:.3e} "
-                                              f"above the cutoff dim={dim}"):
-        nl.squeezed_vacuum(r, dim)
-
-
-def test_state_builders_at_zero_keep_the_vacuum():
-    # the zero amplitude takes the -inf log-magnitude path of both builders
-    for state in (nl.coherent_state(0.0, 2), nl.squeezed_vacuum(0.0, 2)):
-        assert_valid_state(state)
-        assert state.matrix[0, 0] == 1.0
-
-
-def test_squeezed_vacuum_variance():
-    dim = 60
-    x, p = nl.quadrature_ops(dim)
-    for r in (0.4, -0.6):
-        sv = nl.squeezed_vacuum(r, dim)
-        assert expectation(sv, x @ x) == pytest.approx(np.exp(-2 * r) / 2, rel=1e-9)
-        assert expectation(sv, p @ p) == pytest.approx(np.exp(2 * r) / 2, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

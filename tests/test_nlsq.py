@@ -28,28 +28,32 @@ def random_state(rng, support, dim):
 
 def test_vacuum_variance_at_unit_lambda():
     # Var(p) = Var(x^2) = 1/2 for the vacuum, no covariance: 1/2 + 9/2
-    assert nl.nonlinear_variance(nl.vacuum(6), 1.0) == pytest.approx(5.0, abs=1e-12)
+    vac = nl.noise_moments(nl.vacuum(6))
+    assert nlsq.variance_from_moments(vac, 1.0, 1.0, 3) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_vacuum_variance_at_stationary_lambda():
     lam, val = oracles.vacuum_optimum_closed_form()
-    assert nl.nonlinear_variance(nl.vacuum(6), lam) == pytest.approx(val, abs=1e-12)
+    vac = nl.noise_moments(nl.vacuum(6))
+    assert nlsq.variance_from_moments(vac, lam, 1.0, 3) == pytest.approx(val, abs=1e-12)
 
 
 def test_single_photon_variance_at_unit_lambda():
     # Var(p) = Var(x^2) = 3/2: 3/2 + 9 * 3/2
-    assert nl.nonlinear_variance(nl.fock_state(1, 6), 1.0) == pytest.approx(15.0, abs=1e-12)
+    one = nl.noise_moments(nl.fock_state(1, 6))
+    assert nlsq.variance_from_moments(one, 1.0, 1.0, 3) == pytest.approx(15.0, abs=1e-12)
 
 
 def test_variance_input_errors():
+    vac = nl.noise_moments(nl.vacuum(6))
     with pytest.raises(InvalidInputError):
-        nl.nonlinear_variance(nl.vacuum(6), -1.0)
+        nlsq.variance_from_moments(vac, -1.0, 1.0, 3)
     with pytest.raises(InvalidInputError):
-        nl.nonlinear_variance(nl.vacuum(6), 0.0)
+        nlsq.variance_from_moments(vac, 0.0, 1.0, 3)
     with pytest.raises(DimensionError):
         nl.noise_moments(nl.QuantumState(1, np.eye(1, dtype=complex)))
     with pytest.raises(InvalidInputError):
-        nl.nonlinear_variance(nl.vacuum(6), 1.0, order=2)
+        nl.noise_moments(nl.vacuum(6), order=2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -110,7 +114,8 @@ def test_order_four_vacuum_closed_form():
     # stationary at lam^8 = 180
     lam_ref = 180.0 ** 0.125
     val_ref = lam_ref ** 2 / 2.0 + 30.0 / lam_ref ** 6
-    assert nl.nonlinear_variance(nl.vacuum(8), 1.0, order=4) == pytest.approx(
+    vac = nl.noise_moments(nl.vacuum(8), order=4)
+    assert nlsq.variance_from_moments(vac, 1.0, 1.0, 4) == pytest.approx(
         0.5 + 16.0 * 15.0 / 8.0, abs=1e-12)
     res = nl.optimal_nonlinear_variance(nl.vacuum(8), order=4)
     assert res.variance_opt == pytest.approx(val_ref, abs=1e-9)
@@ -121,9 +126,10 @@ def test_order_four_vacuum_closed_form():
 def test_minimizer_validity():
     state = nl.apply_loss(nl.make_superposition([0.7, 0.5j, 0.2], 8), 0.1)
     res = nl.optimal_nonlinear_variance(state)
+    mom = nl.noise_moments(state)
     for delta in (-1e-3, 1e-3):
         lam = res.lambda_opt * (1 + delta)
-        assert nl.nonlinear_variance(state, lam) >= res.variance_opt - 1e-12
+        assert nlsq.variance_from_moments(mom, lam, 1.0, 3) >= res.variance_opt - 1e-12
 
 
 def test_squeezed_flag():
@@ -263,23 +269,24 @@ def test_squeezed_vacuum_cannot_beat_vacuum():
     _, vac_ref = oracles.vacuum_optimum_closed_form()
     for db in np.linspace(-10, 10, 9):
         r = db * np.log(10.0) / 20.0
-        sv = nl.squeezed_vacuum(r, 140)
+        sv = nl.QuantumState(140, oracles.squeezed_vacuum(r, 140))
         res = nl.optimal_nonlinear_variance(sv)
         assert abs(res.variance_opt - vac_ref) < 1e-6
 
 
 def test_p_displacement_leaves_variance_unchanged():
     plain = nl.vacuum(40)
-    shifted = nl.displace(plain, 0.35j)
+    shifted = nl.QuantumState(40, oracles.displace(plain.matrix, 0.35j))
+    moments = nl.noise_moments(shifted), nl.noise_moments(plain)
     for lam in (0.7, 1.0, 1.62, 2.5):
-        assert abs(nl.nonlinear_variance(shifted, lam)
-                   - nl.nonlinear_variance(plain, lam)) < 1e-10
+        one, other = (nlsq.variance_from_moments(m, lam, 1.0, 3) for m in moments)
+        assert abs(one - other) < 1e-10
 
 
 def test_x_displacement_never_helps():
     _, vac_ref = oracles.vacuum_optimum_closed_form()
     for amp in (0.1, 0.3, 0.5):
-        shifted = nl.displace(nl.vacuum(40), amp)
+        shifted = nl.QuantumState(40, oracles.displace(nl.vacuum(40).matrix, amp))
         assert nl.optimal_nonlinear_variance(shifted).variance_opt >= vac_ref - 1e-9
 
 

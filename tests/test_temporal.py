@@ -756,7 +756,7 @@ def test_pca_eigensolver_step_cap_raises(monkeypatch, photon_traces):
 def test_pca_subtracts_the_mean_of_a_displaced_state(monkeypatch, alpha):
     # At one LO phase <q> = sqrt(2) alpha, so each bin's mean is far from 0
     # and the covariance is the Gram matrix minus a large mu mu^T.
-    state = nl.displace(nl.fock_state(1, 60), alpha)
+    state = nl.QuantumState(60, oracles.displace(nl.fock_state(1, 60).matrix, alpha))
     mode = default_composite()
     ts = nl.simulate_traces(state, mode, 10000, [0.0], seed=23)
     real = temporal._top_two_eigenpairs

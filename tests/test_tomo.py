@@ -225,7 +225,8 @@ def test_mle_nonconvergence_is_flagged_not_raised():
 
 def test_mle_flags_population_at_the_cutoff():
     # <n> = 4: at dim 5 the estimate piles 31 % onto |4>
-    ds = nl.sample(nl.coherent_state(2.0, 30), n_per_phase=5000, seed=0)
+    ds = nl.sample(nl.QuantumState(30, oracles.coherent_state(2.0, 30)), n_per_phase=5000,
+                   seed=0)
     res = nl.mle_reconstruct(ds, dim=5)
     assert res.warnings == ("population 0.31 on the top level |4> exceeds 0.01: "
                             "dim 5 may cut the state off",)
