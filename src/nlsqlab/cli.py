@@ -598,6 +598,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         _log(f"numerical error: {exc}")
         return EXIT_NUMERICAL
+    except MemoryError as exc:  # say, a --dim too large to allocate
+        _log(f"error: out of memory: {str(exc) or 'allocation failed'}")
+        return EXIT_NUMERICAL
     except OSError as exc:
         _log(f"i/o error: {exc}")
         return EXIT_IO

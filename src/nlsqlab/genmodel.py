@@ -40,6 +40,8 @@ class GenerationParams:
             raise InvalidInputError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.loss <= 1.0:
             raise InvalidInputError(f"loss must lie in [0, 1], got {self.loss}")
+        if not math.isfinite(self.phi):
+            raise InvalidInputError(f"phi must be finite, got {self.phi}")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
     @classmethod

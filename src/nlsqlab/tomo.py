@@ -96,8 +96,12 @@ class TomographyDataset:
         # A tiny negative phase rounds up to 2*pi, which would fold to pi.
         folded[folded == 2.0 * np.pi] = 0.0
         flip = folded >= np.pi
-        folded = np.where(flip, folded - np.pi, folded)
-        values = np.where(flip, -values, values)
+        if flip.any():
+            folded = np.where(flip, folded - np.pi, folded)
+            values = np.where(flip, -values, values)
+        else:
+            # Never alias or freeze the caller's array.
+            values = values.copy()
         folded.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "phases", folded)
@@ -141,10 +145,17 @@ def _lo_phases(phases) -> np.ndarray:
 def _draw(state: QuantumState, phases: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF quadrature samples: uniform u[i] mapped through the
     state's quadrature CDF at LO phase phases[i], one table per distinct
-    phase."""
+    phase.
+
+    Each phase's uniforms are looked up in sorted order, so that np.interp,
+    which starts each binary search at the previous query's bin, finds the
+    bin at once.  The bin found does not depend on where the search starts,
+    so the order cannot change a sample.
+    """
     q = np.empty(u.size)
     for phase in np.unique(phases):
         idx = np.flatnonzero(phases == phase)
+        idx = idx[np.argsort(u[idx])]
         x, cdf = _cdf_table(state, float(phase))
         q[idx] = np.interp(u[idx], cdf, x)
     return q

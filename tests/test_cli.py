@@ -130,6 +130,40 @@ def test_usage_error_bad_loss(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["nlsq", "--theta", "1", "--phi", "nan"], "nan"),
+    (["pipeline", "--phi", "inf"], "inf"),
+    (["pipeline", "--phi=-inf", "--n-per-phase", "300"], "-inf"),
+])
+def test_nonfinite_phi_is_a_usage_error_that_names_it(capsys, argv, value):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: phi must be finite, got {value}" in err
+
+
+@pytest.mark.parametrize("builder, argv", [
+    ("vacuum", ["nlsq", "--vacuum", "--dim", "200000"]),
+    ("fock_state", ["sample", "--fock", "1", "--dim", "200000"]),
+])
+def test_unallocatable_dim_exits_3_without_a_traceback(tmp_path, monkeypatch, capsys,
+                                                        builder, argv):
+    # No real allocation is asked for: with overcommit on, it could succeed
+    # lazily and be killed later.
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 596. GiB for an array")
+
+    monkeypatch.setattr(nl.fock, builder, refuse)
+    out_file = tmp_path / "out"
+    if argv[0] == "sample":
+        argv = [*argv, "--out", str(out_file)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "error: out of memory: Unable to allocate 596. GiB for an array"]
+    assert "Traceback" not in err
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("kappa", ["0", "nan", "inf", "-inf"])
 def test_usage_error_bad_kappa(capsys, kappa):
     code, out, err = run_cli(capsys, "nlsq", "--fock", "1", f"--kappa={kappa}")

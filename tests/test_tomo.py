@@ -107,6 +107,19 @@ def test_dataset_rejects_bad_input():
         nl.TomographyDataset(phases=[0.1], values=[np.nan])
 
 
+@pytest.mark.parametrize("phases", [[0.1, 0.2, 0.3], [0.1, np.pi + 0.2, 0.3]],
+                         ids=["no-flip", "flip"])
+def test_dataset_leaves_the_caller_arrays_alone(phases):
+    phases = np.array(phases)
+    values = np.array([1.0, -2.0, 3.0])
+    before = phases.copy(), values.copy()
+    ds = nl.TomographyDataset(phases=phases, values=values)
+    assert phases.flags.writeable and values.flags.writeable
+    assert not (np.shares_memory(ds.phases, phases) or np.shares_memory(ds.values, values))
+    assert not (ds.phases.flags.writeable or ds.values.flags.writeable)
+    assert np.array_equal(phases, before[0]) and np.array_equal(values, before[1])
+
+
 def test_sample_moments_vacuum():
     ds = nl.sample(nl.vacuum(5), n_per_phase=21000, seed=0)
     assert len(ds) == 6 * 21000
@@ -161,6 +174,37 @@ def test_sampler_rejects_mass_outside_its_support(n):
 
 def test_sampler_accepts_states_inside_its_support():
     assert len(nl.sample(nl.fock_state(10, 11), n_per_phase=10)) == 60
+
+
+@pytest.mark.parametrize("layout", ["blocks", "cyclic"])
+def test_draw_equals_per_element_interp_bit_for_bit(layout):
+    # _draw sorts each phase's uniforms before np.interp; every value must
+    # be the one a lone np.interp call gives, ties and flat tails included.
+    # `blocks` is the layout of sample and simulate_readout, `cyclic` the
+    # np.resize order of simulate_traces.
+    rng = np.random.default_rng(27)
+    lo = np.array([0.0, 0.7, 1.9, 3.5])
+    n = 4 * 600
+    phases = np.repeat(lo, n // lo.size) if layout == "blocks" else np.resize(lo, n)
+    for dim in (2, 3, 5, 8, 12):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        g = g[:, :rng.integers(1, dim + 1)]
+        rho = g @ g.conj().T
+        state = nl.QuantumState(dim, rho / np.trace(rho).real)
+        tables = {p: tomo._cdf_table(state, float(p)) for p in lo}
+        u = rng.random(n)
+        # exact table values, the top of the table (where the CDF is flat at
+        # 1.0) among them, at the slot's own phase
+        exact = rng.choice(n, 300, replace=False)
+        for i, k in zip(exact, rng.integers(0, tomo.SAMPLER_POINTS, exact.size)):
+            u[i] = tables[phases[i]][1][k]
+        u[exact[:20]] = [tables[phases[i]][1][-1 - j] for j, i in enumerate(exact[:20])]
+        # repeats across and within phases, and exact zeros
+        u[rng.choice(n, 200)] = u[rng.choice(n, 200)]
+        u[rng.choice(n, 40)] = 0.0
+        expected = np.array([np.interp(ui, tables[p][1], tables[p][0])
+                             for p, ui in zip(phases, u)])
+        assert tomo._draw(state, phases, u).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
