@@ -96,12 +96,8 @@ class TomographyDataset:
         # A tiny negative phase rounds up to 2*pi, which would fold to pi.
         folded[folded == 2.0 * np.pi] = 0.0
         flip = folded >= np.pi
-        if flip.any():
-            folded = np.where(flip, folded - np.pi, folded)
-            values = np.where(flip, -values, values)
-        else:
-            # Never alias or freeze the caller's array.
-            values = values.copy()
+        folded = np.where(flip, folded - np.pi, folded)
+        values = np.where(flip, -values, values)
         folded.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "phases", folded)
