@@ -326,8 +326,6 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if args.n_per_phase < 1:
-        raise InvalidInputError("n_per_phase must be at least 1")
     if args.trace_events < 2:
         raise InvalidInputError(f"--trace-events must be at least 2, got {args.trace_events}")
     _log(f"effective seed: {args.seed}")

@@ -41,15 +41,12 @@ class QuantumState:
     immutable and safe to share.
     """
 
-    dim: int
     matrix: np.ndarray
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex, order="C")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
-        if mat.shape[0] != self.dim:
-            raise DimensionError(f"matrix shape {mat.shape} does not match dim={self.dim}")
         if not np.all(np.isfinite(mat.view(float))):
             raise InvalidInputError("matrix contains non-finite entries")
         herm_defect = np.abs(mat - mat.conj().T).max()
@@ -63,6 +60,10 @@ class QuantumState:
             raise InvalidInputError(f"matrix not PSD (lowest eigenvalue {lowest:.2e})")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     def __repr__(self):  # keep reprs short; the matrix can be large
         return f"QuantumState(dim={self.dim})"
@@ -88,7 +89,7 @@ def make_superposition(coeffs, dim: int) -> QuantumState:
     norm = np.linalg.norm(c)
     psi = np.zeros(dim, dtype=complex)
     psi[: c.size] = c / norm
-    return QuantumState(dim, np.outer(psi, psi.conj()))
+    return QuantumState(np.outer(psi, psi.conj()))
 
 
 def vacuum(dim: int = DEFAULT_DIM) -> QuantumState:
@@ -141,7 +142,7 @@ def apply_loss(state: QuantumState, loss: float) -> QuantumState:
     out = np.zeros_like(rho)
     for k, weight in _loss_kraus_weights(dim, loss):
         out[: dim - k, : dim - k] += np.outer(weight, weight) * rho[k:, k:]
-    return QuantumState(dim, out)
+    return QuantumState(out)
 
 
 def loss_adjoint(block: np.ndarray, loss: float) -> np.ndarray:
@@ -249,4 +250,4 @@ def state_from_json(obj: dict) -> QuantumState:
     im = np.asarray(obj["im"], dtype=float)
     if re.size != dim * dim or im.size != dim * dim:
         raise InvalidInputError("re/im arrays do not match dim*dim")
-    return QuantumState(dim, (re + 1j * im).reshape(dim, dim))
+    return QuantumState((re + 1j * im).reshape(dim, dim))

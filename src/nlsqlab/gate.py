@@ -29,10 +29,13 @@ class GateNoiseReport:
     mean_x_out: float
     mean_p_out: float
     var_x_out: float
-    var_p_out: float
     ideal_var: float
     ancilla_excess: float
     sqz_excess: float
+
+    @property
+    def var_p_out(self) -> float:
+        return self.ideal_var + self.ancilla_excess + self.sqz_excess
 
     @property
     def excess(self) -> float:
@@ -87,7 +90,6 @@ def propagate(input_state: QuantumState, ancilla_state: QuantumState,
             mean_x_out=mean_x / math.sqrt(2.0),
             mean_p_out=mean_p_out,
             var_x_out=(inp.xn - mean_x ** 2 + sqz_var) / 2.0,
-            var_p_out=ideal_var + anc_excess + sqz_excess,
             ideal_var=ideal_var,
             ancilla_excess=anc_excess,
             sqz_excess=sqz_excess,

@@ -89,7 +89,7 @@ def rho_theta_phi_L(params: GenerationParams, dim: int = MIN_TWO_LEVEL_DIM) -> Q
     mat[1, 1] = eta * s2
     mat[0, 1] = 0.5 * math.sin(params.theta) * np.exp(-1j * params.phi) * math.sqrt(eta)
     mat[1, 0] = np.conj(mat[0, 1])
-    return QuantumState(dim, mat)
+    return QuantumState(mat)
 
 
 @dataclass(frozen=True)

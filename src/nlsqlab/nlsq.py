@@ -53,7 +53,6 @@ class NlsqResult:
     variance_opt: float
     lambda_opt: float
     ratio: float
-    db: float
     order: int
     kappa: float
 
@@ -62,6 +61,10 @@ class NlsqResult:
             raise InvalidInputError("lambda_opt must be positive")
         if not self.ratio > 0:
             raise InvalidInputError("ratio must be positive")
+
+    @property
+    def db(self) -> float:
+        return 10.0 * math.log10(self.ratio)
 
     @property
     def squeezed(self) -> bool:
@@ -198,12 +201,10 @@ def optimal_nonlinear_variance(state: QuantumState, kappa: float = 1.0,
     mom = noise_moments(state, order)
     lam, val = _minimize_lambda(mom, kappa, order)
     v_vac, _ = vacuum_optimum(kappa, order)
-    ratio = val / v_vac
     return NlsqResult(
         variance_opt=val,
         lambda_opt=lam,
-        ratio=ratio,
-        db=10.0 * math.log10(ratio),
+        ratio=val / v_vac,
         order=int(order),
         kappa=float(kappa),
     )
@@ -225,7 +226,6 @@ def kappa_rescale(result: NlsqResult, u: float) -> NlsqResult:
         variance_opt=result.variance_opt * u ** 2,
         lambda_opt=result.lambda_opt * u,
         ratio=result.ratio,
-        db=result.db,
         order=result.order,
         kappa=result.kappa * u ** result.order,
     )

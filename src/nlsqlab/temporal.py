@@ -230,12 +230,16 @@ def _inner(a: TemporalMode, b: TemporalMode) -> float:
 
 @dataclass(frozen=True)
 class MatchedFilter:
-    """Third-order low-pass filter: real poles (rad/s) plus its time-reversed
-    impulse response on the target grid and the achieved overlap."""
+    """Third-order low-pass filter: its time-reversed impulse response on the
+    target grid, the achieved overlap, and the real poles (rad/s), which are
+    half the response's decay rates."""
 
-    poles: tuple[float, float, float]
     response: TemporalMode
     overlap: float
+
+    @property
+    def poles(self) -> tuple[float, float, float]:
+        return tuple(g / 2.0 for g in self.response.decay_rates)
 
 
 def design_matched_filter(target: TemporalMode) -> MatchedFilter:
@@ -253,8 +257,7 @@ def design_matched_filter(target: TemporalMode) -> MatchedFilter:
     exact = len(rates) == 3 and target.weights == composite_weights(rates)
     rates = sorted(rates if exact else _searched_rates(target))
     response = composite_mode(rates, target.t0, target.t)
-    return MatchedFilter(poles=tuple(g / 2.0 for g in rates), response=response,
-                         overlap=mode_overlap(response, target))
+    return MatchedFilter(response=response, overlap=mode_overlap(response, target))
 
 
 def _searched_rates(target: TemporalMode) -> tuple[float, float, float]:
@@ -345,7 +348,9 @@ def _nelder_mead(objective, start):
 @dataclass(frozen=True)
 class TraceSet:
     """Simulated continuous homodyne records, one row per heralding event,
-    held as float32 (the precision of the trace file)."""
+    held as float32 (the precision of the trace file).  The grid `t` is
+    checked as a mode's grid is (see `_grid`), and `dt` must be its step to
+    within 1e-9 relative."""
 
     traces: np.ndarray
     dt: float
@@ -356,17 +361,21 @@ class TraceSet:
         # A view, so freezing it leaves a float32 caller's array writable.
         traces = np.asarray(self.traces, dtype=np.float32).view()
         phases = np.asarray(self.phases, dtype=float).ravel()
-        t = np.asarray(self.t, dtype=float).ravel()
+        t = _grid(self.t)
         if traces.ndim != 2:
             raise InvalidInputError("traces must be a 2-D array")
         if phases.size != traces.shape[0]:
             raise DimensionError("one LO phase per trace required")
         if t.size != traces.shape[1]:
             raise DimensionError("time grid must match the trace length")
+        step = float(t[1] - t[0])
+        if not abs(step - self.dt) <= 1e-9 * self.dt:
+            raise InvalidInputError(f"bin width {self.dt!r} s differs from the "
+                                    f"grid's step {step!r} s")
         # min and max carry any NaN or infinity, with no trace-sized mask.
         if traces.size and not (np.isfinite(traces.min()) and np.isfinite(traces.max())):
             raise InvalidInputError("traces contain non-finite values")
-        for arr in (traces, phases, t):
+        for arr in (traces, phases):
             arr.setflags(write=False)
         object.__setattr__(self, "traces", traces)
         object.__setattr__(self, "phases", phases)
@@ -463,7 +472,9 @@ def pca_mode_estimate(traces: TraceSet, window=None) -> TemporalMode:
     column means is subtracted from it in float64.  Only the two largest
     eigenpairs of the float64 covariance are computed, by block
     Lanczos (`_top_two_eigenpairs`), which raises NumericalError when it does
-    not converge.
+    not converge.  A vacuum floor or a covariance diagonal that is not
+    finite (a subnormal dt, or samples whose float32 squares overflow)
+    raises NumericalError before the eigensolver starts.
     """
     if traces.n_events < MIN_PCA_EVENTS:
         raise InvalidInputError(f"need at least {MIN_PCA_EVENTS} traces")
@@ -475,12 +486,22 @@ def pca_mode_estimate(traces: TraceSet, window=None) -> TemporalMode:
     # The grid increases, so the window is one slice: a view, not a copy.
     first, stop = int(inside[0]), int(inside[-1]) + 1
     x = traces.traces[:, first:stop]
-    mean = x.mean(axis=0, dtype=np.float64)
-    cov = (x.T @ x).astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = 1.0 / (2.0 * traces.dt)
+        if not math.isfinite(floor):
+            raise NumericalError(f"vacuum floor 1/(2 dt) is not finite at "
+                                 f"dt = {traces.dt:.3g} s")
+        mean = x.mean(axis=0, dtype=np.float64)
+        cov = (x.T @ x).astype(np.float64)
     cov /= traces.n_events
     cov -= np.outer(mean, mean)
-    n = stop - first
-    cov[np.diag_indices(n)] -= 1.0 / (2.0 * traces.dt)
+    diag = np.diag_indices(stop - first)
+    cov[diag] -= floor
+    # A Gram entry is bounded by its row's and column's diagonal entries
+    # (Cauchy-Schwarz), so a finite diagonal leaves every entry finite.
+    if not np.all(np.isfinite(cov[diag])):
+        raise NumericalError("trace covariance is not finite: the samples' "
+                             "float32 squares overflow")
     (mu2, mu1), vecs = _top_two_eigenpairs(cov)
     if mu1 <= 0 or mu1 < 2.0 * max(mu2, 0.0):
         raise AmbiguityError(

@@ -181,11 +181,17 @@ def sample(state: QuantumState, phases=DEFAULT_PHASES,
 @dataclass(frozen=True)
 class MleResult:
     state: QuantumState
-    iters: int
-    loglik: float
     loglik_trace: np.ndarray
     converged: bool
     warnings: tuple[str, ...] = ()
+
+    @property
+    def iters(self) -> int:
+        return self.loglik_trace.size
+
+    @property
+    def loglik(self) -> float:
+        return float(self.loglik_trace[-1])
 
     def report(self) -> dict:
         return {
@@ -196,25 +202,24 @@ class MleResult:
         }
 
 
-def _bin_projectors(dim: int, phase: float, edges: np.ndarray, subdiv: int) -> np.ndarray:
-    """Integrated projector per bin, midpoint rule with `subdiv` points."""
+def _bin_projectors(dim: int, phase: float, edges: np.ndarray) -> np.ndarray:
+    """Integrated projector per bin, midpoint rule with MLE_SUBDIV points."""
     n_bins = edges.size - 1
     width = edges[1] - edges[0]
-    sub = (np.arange(subdiv) + 0.5) / subdiv
+    sub = (np.arange(MLE_SUBDIV) + 0.5) / MLE_SUBDIV
     xs = (edges[:-1, None] + sub[None, :] * width).ravel()
-    v = _rotated_wavefunctions(dim, phase, xs)          # (dim, n_bins*subdiv)
-    v = v.reshape(dim, n_bins, subdiv)
-    pi = np.einsum("mjs,njs->jmn", v, v.conj()) * (width / subdiv)
+    v = _rotated_wavefunctions(dim, phase, xs)          # (dim, n_bins*MLE_SUBDIV)
+    v = v.reshape(dim, n_bins, MLE_SUBDIV)
+    pi = np.einsum("mjs,njs->jmn", v, v.conj()) * (width / MLE_SUBDIV)
     return pi
 
 
-def _binned(data: TomographyDataset, dim: int, n_bins: int, support,
-            subdiv: int) -> tuple[np.ndarray, np.ndarray]:
+def _binned(data: TomographyDataset, dim: int, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Projector stack and the cell of every sample.
 
     Cell j = k * n_bins + b for the k-th unique phase and bin b, with the
-    bins of np.histogram over `support` (the last edge inclusive).  Row j of
-    the (J, dim**2) stack P is the cell's projector flattened, so that
+    bins of np.histogram over MLE_SUPPORT (the last edge inclusive).  Row j
+    of the (J, dim**2) stack P is the cell's projector flattened, so that
     P @ rho.T.ravel() gives every Tr(Pi_j rho).  A sample outside the
     support has cell -1.
     """
@@ -222,10 +227,9 @@ def _binned(data: TomographyDataset, dim: int, n_bins: int, support,
         raise DimensionError("reconstruction needs dim >= 2")
     if len(data) == 0:
         raise InvalidInputError("empty dataset")
-    if not (n_bins >= 1 and support[0] < support[1]):
-        raise InvalidInputError(f"need n_bins >= 1 and an increasing support, "
-                                f"got {n_bins} and {support}")
-    edges = np.linspace(support[0], support[1], n_bins + 1)
+    if not n_bins >= 1:
+        raise InvalidInputError(f"need n_bins >= 1, got {n_bins}")
+    edges = np.linspace(*MLE_SUPPORT, n_bins + 1)
     x = data.values
     phases = data.unique_phases()
     k = np.searchsorted(phases, data.phases)
@@ -238,15 +242,15 @@ def _binned(data: TomographyDataset, dim: int, n_bins: int, support,
     b -= x < edges[b]
     b += (x >= edges[b + 1]) & (b < n_bins - 1)
     cell = np.where((x >= edges[0]) & (x <= edges[-1]), k * n_bins + b, -1)
-    P = np.concatenate([_bin_projectors(dim, float(p), edges, subdiv) for p in phases])
+    P = np.concatenate([_bin_projectors(dim, float(p), edges) for p in phases])
     return P.reshape(-1, dim * dim), cell
 
 
 def _iterate(P: np.ndarray, counts: np.ndarray, dim: int, max_iters: int, tol: float):
     """R*rho*R iteration on the cells with a nonzero count.
 
-    Returns (rho, iterations, log-likelihood per iteration, converged); rho
-    is projected back onto the PSD cone if round-off left it outside.
+    Returns (rho, log-likelihood per iteration, converged); rho is
+    projected back onto the PSD cone if round-off left it outside.
     """
     if max_iters < 1:
         raise InvalidInputError("max_iters must be at least 1")
@@ -263,7 +267,7 @@ def _iterate(P: np.ndarray, counts: np.ndarray, dim: int, max_iters: int, tol: f
     rho = np.eye(dim, dtype=complex) / dim
     trace = []
     converged = False
-    for iters in range(1, max_iters + 1):
+    for _ in range(max_iters):
         pr = np.maximum(P @ rho.ravel().view(float), MLE_PROB_FLOOR)
         trace.append(float(f @ np.log(pr)))
         r = ((f / pr) @ P).view(complex).reshape(dim, dim)
@@ -280,13 +284,12 @@ def _iterate(P: np.ndarray, counts: np.ndarray, dim: int, max_iters: int, tol: f
         vals = np.clip(vals, 0.0, None)
         rho = (vecs * vals) @ vecs.conj().T
         rho /= rho.trace().real
-    return rho, iters, trace, converged
+    return rho, np.asarray(trace), converged
 
 
 def mle_reconstruct(data: TomographyDataset, dim: int = 5,
                     max_iters: int = MLE_MAX_ITERS, tol: float = MLE_TOL,
-                    n_bins: int = MLE_BINS, support=MLE_SUPPORT,
-                    subdiv: int = MLE_SUBDIV) -> MleResult:
+                    n_bins: int = MLE_BINS) -> MleResult:
     """Iterated R*rho*R maximum-likelihood estimate from binned quadratures.
 
     Iterates rho <- normalize(R(rho) rho R(rho)) with
@@ -296,14 +299,14 @@ def mle_reconstruct(data: TomographyDataset, dim: int = 5,
     A top-level population above MLE_CUTOFF_POPULATION is flagged too: the
     state may not fit in `dim` levels.
     """
-    P, cell = _binned(data, dim, n_bins, support, subdiv)
+    P, cell = _binned(data, dim, n_bins)
     inside = cell >= 0
-    rho, iters, trace, converged = _iterate(
+    rho, trace, converged = _iterate(
         P, np.bincount(cell[inside], minlength=len(P)), dim, max_iters, tol)
     warnings = []
     dropped = cell.size - np.count_nonzero(inside)
     if dropped:
-        warnings.append(f"dropped {dropped} samples outside {support}")
+        warnings.append(f"dropped {dropped} samples outside {MLE_SUPPORT}")
     if not converged:
         warnings.append(f"no convergence after {max_iters} iterations")
     top = rho[-1, -1].real
@@ -311,10 +314,8 @@ def mle_reconstruct(data: TomographyDataset, dim: int = 5,
         warnings.append(f"population {top:.3g} on the top level |{dim - 1}> exceeds "
                         f"{MLE_CUTOFF_POPULATION:g}: dim {dim} may cut the state off")
     return MleResult(
-        state=QuantumState(dim, rho),
-        iters=iters,
-        loglik=trace[-1],
-        loglik_trace=np.asarray(trace),
+        state=QuantumState(rho),
+        loglik_trace=trace,
         converged=converged,
         warnings=tuple(warnings),
     )
@@ -329,7 +330,6 @@ def mle_reconstruct(data: TomographyDataset, dim: int = 5,
 class BootstrapErrors:
     db: float
     rho: np.ndarray
-    n_resamples: int
 
 
 def bootstrap_error(data: TomographyDataset, dim: int = 5, n_resamples: int = 50,
@@ -344,7 +344,7 @@ def bootstrap_error(data: TomographyDataset, dim: int = 5, n_resamples: int = 50
     """
     if n_resamples < 2:
         raise InvalidInputError("need at least 2 resamples")
-    P, cell = _binned(data, dim, MLE_BINS, MLE_SUPPORT, MLE_SUBDIV)
+    P, cell = _binned(data, dim, MLE_BINS)
     rng = np.random.default_rng(seed)
     groups = [np.flatnonzero(data.phases == p) for p in data.unique_phases()]
     dbs = []
@@ -352,12 +352,12 @@ def bootstrap_error(data: TomographyDataset, dim: int = 5, n_resamples: int = 50
     for _ in range(n_resamples):
         picked = cell[np.concatenate([g[rng.integers(0, g.size, g.size)] for g in groups])]
         counts = np.bincount(picked[picked >= 0], minlength=len(P))
-        state = QuantumState(dim, _iterate(P, counts, dim, MLE_MAX_ITERS, MLE_TOL)[0])
+        state = QuantumState(_iterate(P, counts, dim, MLE_MAX_ITERS, MLE_TOL)[0])
         dbs.append(nlsq_db(state))
         rhos.append(state.matrix)
     rhos = np.asarray(rhos)
     rho_err = np.sqrt(np.mean(np.abs(rhos - rhos.mean(axis=0)) ** 2, axis=0))
-    return BootstrapErrors(db=float(np.std(dbs)), rho=rho_err, n_resamples=n_resamples)
+    return BootstrapErrors(db=float(np.std(dbs)), rho=rho_err)
 
 
 # ---------------------------------------------------------------------------

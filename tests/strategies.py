@@ -20,4 +20,4 @@ def psd_states(draw, dims=st.integers(2, 12)):
     norm = np.trace(rho).real
     # tiny entries underflow in G G^dag
     assume(norm > 1e-6)
-    return nl.QuantumState(dim, rho / norm)
+    return nl.QuantumState(rho / norm)

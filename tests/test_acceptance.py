@@ -41,7 +41,7 @@ def random_three_level(rng, dim=8):
     block /= np.trace(block).real
     mat = np.zeros((dim, dim), dtype=complex)
     mat[:3, :3] = block
-    return nl.QuantumState(dim, mat)
+    return nl.QuantumState(mat)
 
 
 def test_criterion_01_vacuum_baseline():
@@ -91,7 +91,7 @@ def test_criterion_05_strength_invariance_and_gaussian_bound():
         vac_opt, _ = nl.vacuum_optimum(1.0, 3)
         for db in np.linspace(-10.0, 10.0, 21):
             r = db * np.log(10.0) / 20.0
-            sv = nl.QuantumState(140, oracles.squeezed_vacuum(r, 140))
+            sv = nl.QuantumState(oracles.squeezed_vacuum(r, 140))
             res = nl.optimal_nonlinear_variance(sv)
             assert abs(res.variance_opt - vac_opt) < 1e-6
 

@@ -637,7 +637,7 @@ def test_gate_noise_names_a_malformed_spec(capsys, flag, spec):
 def test_pca_names_a_malformed_window(tmp_path, capsys, window):
     traces = tmp_path / "tiny.bin"
     with open(traces, "wb") as fh:
-        nl.save_traces(nl.TraceSet(np.zeros((2, 3)), 1e-9, np.zeros(2), np.zeros(3)), fh)
+        nl.save_traces(nl.TraceSet(np.zeros((2, 3)), 1e-9, np.zeros(2), np.arange(3) * 1e-9), fh)
     code, out, err = run_cli(capsys, "pca", "--in", str(traces), f"--window-ns={window}")
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == (f"error: --window-ns {window!r}: "
@@ -650,6 +650,24 @@ def test_pca_of_a_zero_event_file_is_a_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "pca", "--in", str(traces))
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == "error: need at least 1000 traces"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dt_ns, sample, cause", [
+    (1e-300, 1.0, "vacuum floor 1/(2 dt) is not finite at dt = 1e-309 s"),
+    (0.2, 3e38, "trace covariance is not finite: the samples' float32 squares overflow"),
+], ids=["subnormal-dt", "huge-samples"])
+def test_pca_of_a_hostile_file_is_a_numerical_error(tmp_path, capsys, dt_ns, sample, cause):
+    # Both files used to reach the eigensolver as NaN: a RuntimeWarning from
+    # matmul, then "did not converge ... residuals nan".
+    n_events, n_bins = 1000, 4
+    traces = tmp_path / "hostile.bin"
+    values = np.random.default_rng(0).uniform(-1.0, 1.0, (n_events, n_bins)) * sample
+    traces.write_bytes(struct.pack("<IId", n_events, n_bins, dt_ns)
+                       + values.astype("<f4").tobytes() + np.zeros(n_events).tobytes())
+    code, out, err = run_cli(capsys, "pca", "--in", str(traces))
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [f"numerical error: {cause}"]
 
 
 @pytest.mark.parametrize("argv", [["nlsq", "--vacuum"], ["gate-noise", "--ancilla", "vacuum"]],
@@ -757,8 +775,9 @@ def test_pipeline_no_traces(capsys):
 
 
 def test_pipeline_rejects_zero_samples(capsys):
-    code, _, _ = run_cli(capsys, "pipeline", "--n-per-phase", "0")
-    assert code == 2
+    code, out, err = run_cli(capsys, "pipeline", "--n-per-phase", "0")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: n_per_phase must be at least 1"
 
 
 @pytest.mark.parametrize("events", ["0", "1", "-2"])

@@ -145,7 +145,7 @@ def test_zero_loss_identity():
     g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    state = nl.QuantumState(6, rho)
+    state = nl.QuantumState(rho)
     out = nl.apply_loss(state, 0.0)
     assert np.abs(out.matrix - state.matrix).max() < 1e-14
 
@@ -185,7 +185,7 @@ def test_loss_contracts_toward_vacuum():
     g = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    state = nl.QuantumState(7, rho)
+    state = nl.QuantumState(rho)
     vac = nl.vacuum(7)
     fids = [nl.fidelity(nl.apply_loss(state, l), vac)
             for l in np.linspace(0, 1, 11)]
@@ -201,7 +201,7 @@ def test_loss_adjoint_is_heisenberg_picture():
     for dim in (1, 2, 5, 9):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = g @ g.conj().T
-        state = nl.QuantumState(dim, rho / np.trace(rho).real)
+        state = nl.QuantumState(rho / np.trace(rho).real)
         op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         for loss in (0.0, rng.uniform(), 1.0):
             schroedinger = np.trace(nl.apply_loss(state, loss).matrix @ op)
@@ -229,7 +229,7 @@ def test_states_stay_physical_through_operations():
         g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        state = nl.QuantumState(9, rho)
+        state = nl.QuantumState(rho)
         assert_valid_state(nl.apply_loss(state, rng.uniform(0, 1)))
 
 
@@ -243,7 +243,7 @@ def test_wigner_origin_values():
     one = nl.fock_state(1, 10)
     assert nl.wigner(one, [0.0], [0.0])[0, 0] == pytest.approx(
         oracles.parity_wigner_origin(one.matrix), abs=1e-10)
-    mixed = nl.QuantumState(4, np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
+    mixed = nl.QuantumState(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
     assert nl.wigner(mixed, [0.0], [0.0])[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -293,21 +293,19 @@ def test_json_roundtrip():
 
 def test_state_validation_rejects_bad_matrices():
     with pytest.raises(InvalidInputError):
-        nl.QuantumState(2, np.array([[0.5, 0.5], [0.2, 0.5]]))  # not Hermitian
+        nl.QuantumState(np.array([[0.5, 0.5], [0.2, 0.5]]))  # not Hermitian
     with pytest.raises(InvalidInputError):
-        nl.QuantumState(2, np.array([[0.9, 0.0], [0.0, 0.2]]))  # trace != 1
+        nl.QuantumState(np.array([[0.9, 0.0], [0.0, 0.2]]))  # trace != 1
     with pytest.raises(InvalidInputError):
-        nl.QuantumState(2, np.array([[1.2, 0.0], [0.0, -0.2]]))  # negative
+        nl.QuantumState(np.array([[1.2, 0.0], [0.0, -0.2]]))  # negative
     with pytest.raises(InvalidInputError):
-        nl.QuantumState(2, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        nl.QuantumState(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(DimensionError):
-        nl.QuantumState(2, np.eye(3) / 3.0)
-    with pytest.raises(DimensionError):
-        nl.QuantumState(2, np.full((2, 3), 0.5))
+        nl.QuantumState(np.full((2, 3), 0.5))
 
 
 def test_state_accepts_any_memory_layout():
     rho = nl.make_superposition([0.6, 0.8j], 3).matrix
-    state = nl.QuantumState(3, np.asfortranarray(rho))
+    state = nl.QuantumState(np.asfortranarray(rho))
     assert np.array_equal(state.matrix, rho)
     assert state.matrix.flags.c_contiguous and not state.matrix.flags.writeable

@@ -23,7 +23,7 @@ def random_state(rng, support=3, dim=8):
     block /= np.trace(block).real
     mat = np.zeros((dim, dim), dtype=complex)
     mat[:support, :support] = block
-    return nl.QuantumState(dim, mat)
+    return nl.QuantumState(mat)
 
 
 # ---------------------------------------------------------------------------

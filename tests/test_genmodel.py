@@ -133,7 +133,7 @@ def test_fit_with_perturbation():
         block -= np.eye(2) * np.trace(block) / 2
         noise = np.zeros((6, 6), dtype=complex)
         noise[:2, :2] = block * (1e-3 / np.linalg.norm(block))
-        perturbed = nl.QuantumState(6, truth.matrix + noise)
+        perturbed = nl.QuantumState(truth.matrix + noise)
         fit = nl.fit_phi_L(perturbed, 1.2)
         assert abs(fit.phi - 3 * np.pi / 2) < 0.01
         assert abs(fit.loss - 0.25) < 0.01
@@ -149,7 +149,7 @@ def test_fit_no_worse_than_dense_loss_grid(theta):
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         block = g @ g.conj().T
         block /= np.trace(block).real
-        fit = nl.fit_phi_L(nl.QuantumState(2, block), theta)
+        fit = nl.fit_phi_L(nl.QuantumState(block), theta)
         eta = 1.0 - losses
         off = 0.5 * np.sin(theta) * np.sqrt(eta) * np.exp(-1j * fit.phi)
         dist_sq = ((block[0, 0].real - (1.0 - eta * s2)) ** 2
@@ -171,7 +171,7 @@ def test_fit_flags_near_edges():
 def test_fit_rejects_leaky_states():
     mat = np.diag([0.6, 0.2, 0.2, 0.0]).astype(complex)
     with pytest.raises(InvalidInputError):
-        nl.fit_phi_L(nl.QuantumState(4, mat), 1.0)
+        nl.fit_phi_L(nl.QuantumState(mat), 1.0)
 
 
 # ---------------------------------------------------------------------------

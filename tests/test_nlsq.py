@@ -19,7 +19,7 @@ def random_state(rng, support, dim):
     block /= np.trace(block).real
     mat = np.zeros((dim, dim), dtype=complex)
     mat[:support, :support] = block
-    return nl.QuantumState(dim, mat)
+    return nl.QuantumState(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +51,7 @@ def test_variance_input_errors():
     with pytest.raises(InvalidInputError):
         nlsq.variance_from_moments(vac, 0.0, 1.0, 3)
     with pytest.raises(DimensionError):
-        nl.noise_moments(nl.QuantumState(1, np.eye(1, dtype=complex)))
+        nl.noise_moments(nl.QuantumState(np.eye(1, dtype=complex)))
     with pytest.raises(InvalidInputError):
         nl.noise_moments(nl.vacuum(6), order=2)
 
@@ -269,14 +269,14 @@ def test_squeezed_vacuum_cannot_beat_vacuum():
     _, vac_ref = oracles.vacuum_optimum_closed_form()
     for db in np.linspace(-10, 10, 9):
         r = db * np.log(10.0) / 20.0
-        sv = nl.QuantumState(140, oracles.squeezed_vacuum(r, 140))
+        sv = nl.QuantumState(oracles.squeezed_vacuum(r, 140))
         res = nl.optimal_nonlinear_variance(sv)
         assert abs(res.variance_opt - vac_ref) < 1e-6
 
 
 def test_p_displacement_leaves_variance_unchanged():
     plain = nl.vacuum(40)
-    shifted = nl.QuantumState(40, oracles.displace(plain.matrix, 0.35j))
+    shifted = nl.QuantumState(oracles.displace(plain.matrix, 0.35j))
     moments = nl.noise_moments(shifted), nl.noise_moments(plain)
     for lam in (0.7, 1.0, 1.62, 2.5):
         one, other = (nlsq.variance_from_moments(m, lam, 1.0, 3) for m in moments)
@@ -286,7 +286,7 @@ def test_p_displacement_leaves_variance_unchanged():
 def test_x_displacement_never_helps():
     _, vac_ref = oracles.vacuum_optimum_closed_form()
     for amp in (0.1, 0.3, 0.5):
-        shifted = nl.QuantumState(40, oracles.displace(nl.vacuum(40).matrix, amp))
+        shifted = nl.QuantumState(oracles.displace(nl.vacuum(40).matrix, amp))
         assert nl.optimal_nonlinear_variance(shifted).variance_opt >= vac_ref - 1e-9
 
 

@@ -504,10 +504,10 @@ def test_simulate_traces_rejects_bad_phases(phases, message):
 def test_traceset_validation():
     with pytest.raises(DimensionError):
         nl.TraceSet(traces=np.zeros((3, 5)), dt=1e-9, phases=np.zeros(2),
-                    t=np.zeros(5))
+                    t=np.arange(5) * 1e-9)
     with pytest.raises(InvalidInputError):
         nl.TraceSet(traces=np.full((2, 3), np.nan), dt=1e-9, phases=np.zeros(2),
-                    t=np.zeros(3))
+                    t=np.arange(3) * 1e-9)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -515,16 +515,33 @@ def test_traceset_rejects_one_nonfinite_sample(bad):
     traces = np.zeros((3, 4))
     traces[1, 2] = bad
     with pytest.raises(InvalidInputError, match="non-finite"):
-        nl.TraceSet(traces, 1e-9, np.zeros(3), np.zeros(4))
+        nl.TraceSet(traces, 1e-9, np.zeros(3), np.arange(4) * 1e-9)
 
 
 def test_traceset_leaves_the_callers_array_writable():
     a = np.zeros((2, 3), dtype=np.float32)
-    ts = nl.TraceSet(a, 1e-9, np.zeros(2), np.zeros(3))
+    ts = nl.TraceSet(a, 1e-9, np.zeros(2), np.arange(3) * 1e-9)
     assert np.shares_memory(ts.traces, a)
     assert not ts.traces.flags.writeable
     a[0, 0] = 1.0
     assert ts.traces[0, 0] == 1.0
+
+
+def test_traceset_rejects_a_step_that_is_not_its_grids():
+    # accepted before, and mode_quadratures then read a variance of 5.85
+    # where the right one is 1.46
+    mode = default_composite()
+    ts = nl.simulate_traces(nl.fock_state(1, 5), mode, 4, PHASES, seed=1)
+    assert ts.t is mode.t  # a mode's checked grid is neither copied nor checked again
+    with pytest.raises(InvalidInputError, match="differs from the grid's step"):
+        nl.TraceSet(ts.traces, 2 * ts.dt, ts.phases, ts.t)
+    assert nl.TraceSet(ts.traces, ts.dt * (1 + 1e-12), ts.phases, ts.t).t is ts.t
+
+
+def test_traceset_rejects_a_grid_that_does_not_increase():
+    # a zero grid used to reach pca_mode_estimate and end in AmbiguityError
+    with pytest.raises(InvalidInputError, match="increasing"):
+        nl.TraceSet(np.zeros((2, 3)), 1e-9, np.zeros(2), np.zeros(3))
 
 
 CHUNK = temporal._CHUNK
@@ -586,7 +603,8 @@ def test_traces_stay_float32_through_save_and_load():
     assert back.traces.dtype == np.float32
     assert back.traces.tobytes() == ts.traces.tobytes()
     assert np.array_equal(back.phases, ts.phases)
-    assert nl.TraceSet(np.zeros((2, 3)), 1e-9, np.zeros(2), np.zeros(3)).traces.dtype == np.float32
+    small = nl.TraceSet(np.zeros((2, 3)), 1e-9, np.zeros(2), np.arange(3) * 1e-9)
+    assert small.traces.dtype == np.float32
 
 
 def test_mode_quadratures_accumulate_in_float64():
@@ -756,7 +774,7 @@ def test_pca_eigensolver_step_cap_raises(monkeypatch, photon_traces):
 def test_pca_subtracts_the_mean_of_a_displaced_state(monkeypatch, alpha):
     # At one LO phase <q> = sqrt(2) alpha, so each bin's mean is far from 0
     # and the covariance is the Gram matrix minus a large mu mu^T.
-    state = nl.QuantumState(60, oracles.displace(nl.fock_state(1, 60).matrix, alpha))
+    state = nl.QuantumState(oracles.displace(nl.fock_state(1, 60).matrix, alpha))
     mode = default_composite()
     ts = nl.simulate_traces(state, mode, 10000, [0.0], seed=23)
     real = temporal._top_two_eigenpairs
@@ -941,7 +959,7 @@ def test_readout_input_validation():
     filt = nl.design_matched_filter(mode)
     other = nl.composite_mode(nl.default_gammas(), 0.0, nl.default_grid(dt=0.4e-9))
     with pytest.raises(DimensionError, match="grid"):
-        nl.simulate_readout(nl.vacuum(5), mode, nl.MatchedFilter(filt.poles, other, 1.0), PHASES)
+        nl.simulate_readout(nl.vacuum(5), mode, nl.MatchedFilter(other, 1.0), PHASES)
     fake = types.SimpleNamespace(samples=mode.samples * 2.0, dt=mode.dt, t=mode.t)
     with pytest.raises(InvalidInputError, match="normalized"):
         nl.simulate_readout(nl.vacuum(5), fake, filt, PHASES)

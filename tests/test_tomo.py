@@ -48,8 +48,7 @@ def test_pdf_phase_dependence_tracks_coherence():
     assert mean0 == pytest.approx(0.0, abs=1e-9)
     assert mean90 == pytest.approx(np.sqrt(2) * abs(coherent_state.matrix[0, 1]),
                                    abs=1e-9)
-    incoherent = nl.QuantumState(
-        5, np.diag([0.75, 0.25, 0, 0, 0]).astype(complex))
+    incoherent = nl.QuantumState(np.diag([0.75, 0.25, 0, 0, 0]).astype(complex))
     q0 = nl.quadrature_pdf(incoherent, 0.0, x)
     q90 = nl.quadrature_pdf(incoherent, np.pi / 2, x)
     assert np.abs(q0 - q90).max() < 1e-12
@@ -84,7 +83,7 @@ def test_mle_with_alternate_phases_and_binning():
     truth = nl.rho_theta_phi_L(POINT, 4)
     phases = np.deg2rad([0.0, 45.0, 90.0, 135.0])
     ds = nl.sample(truth, phases=phases, n_per_phase=8000, seed=14)
-    res = nl.mle_reconstruct(ds, dim=4, n_bins=128, support=(-5.0, 5.0), subdiv=4)
+    res = nl.mle_reconstruct(ds, dim=4, n_bins=128)
     assert nl.fidelity(res.state, truth) >= 0.99
 
 
@@ -190,7 +189,7 @@ def test_draw_equals_per_element_interp_bit_for_bit(layout):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         g = g[:, :rng.integers(1, dim + 1)]
         rho = g @ g.conj().T
-        state = nl.QuantumState(dim, rho / np.trace(rho).real)
+        state = nl.QuantumState(rho / np.trace(rho).real)
         tables = {p: tomo._cdf_table(state, float(p)) for p in lo}
         u = rng.random(n)
         # exact table values, the top of the table (where the CDF is flat at
@@ -269,7 +268,7 @@ def test_mle_nonconvergence_is_flagged_not_raised():
 
 def test_mle_flags_population_at_the_cutoff():
     # <n> = 4: at dim 5 the estimate piles 31 % onto |4>
-    ds = nl.sample(nl.QuantumState(30, oracles.coherent_state(2.0, 30)), n_per_phase=5000,
+    ds = nl.sample(nl.QuantumState(oracles.coherent_state(2.0, 30)), n_per_phase=5000,
                    seed=0)
     res = nl.mle_reconstruct(ds, dim=5)
     assert res.warnings == ("population 0.31 on the top level |4> exceeds 0.01: "
@@ -300,9 +299,8 @@ def test_mle_rejects_degenerate_input():
     ds = nl.sample(nl.vacuum(4), n_per_phase=50, seed=0)
     with pytest.raises(InvalidInputError):
         nl.mle_reconstruct(ds, dim=4, max_iters=0)
-    for binning in ({"n_bins": 0}, {"support": (1.0, 1.0)}, {"support": (2.0, -2.0)}):
-        with pytest.raises(InvalidInputError):
-            nl.mle_reconstruct(ds, dim=4, **binning)
+    with pytest.raises(InvalidInputError):
+        nl.mle_reconstruct(ds, dim=4, n_bins=0)
     outside = nl.TomographyDataset(phases=[0.0, 0.5], values=[7.0, -9.0])
     with pytest.raises(InvalidInputError):
         nl.mle_reconstruct(outside, dim=4)
@@ -338,7 +336,7 @@ def test_mle_matches_einsum_reference(dim, n_per_phase):
 
 
 def test_mle_matches_einsum_reference_nondefault_binning():
-    binning = {"n_bins": 128, "support": (-5.0, 5.0), "subdiv": 4}
+    binning = {"n_bins": 128}
     ds = nl.sample(nl.rho_theta_phi_L(POINT, 5), n_per_phase=3000, seed=12)
     assert_same_mle(nl.mle_reconstruct(ds, dim=5, **binning),
                     oracles.mle_einsum(ds.phases, ds.values, 5, **binning))
@@ -347,14 +345,15 @@ def test_mle_matches_einsum_reference_nondefault_binning():
                     oracles.mle_einsum(ds.phases, ds.values, 5, max_iters=7, **binning))
 
 
-def edge_dataset(n_per_phase=3000, n_bins=tomo.MLE_BINS, support=tomo.MLE_SUPPORT, **_):
-    """Sampled data plus every bin edge (support[1] included), the two float
-    neighbours of each edge and three values outside the support, spread
-    over the six phases.  Binning keys other than the edges are ignored."""
+def edge_dataset(n_per_phase=3000, n_bins=tomo.MLE_BINS):
+    """Sampled data plus every bin edge (the last one included), the two
+    float neighbours of each edge and three values outside the support,
+    spread over the six phases."""
     base = nl.sample(nl.rho_theta_phi_L(POINT, 5), n_per_phase=n_per_phase, seed=13)
-    edges = np.linspace(support[0], support[1], n_bins + 1)
+    lo, hi = tomo.MLE_SUPPORT
+    edges = np.linspace(lo, hi, n_bins + 1)
     extra = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
-                            [support[0] - 1.5, support[1] + 0.5, 40.0]])
+                            [lo - 1.5, hi + 0.5, 40.0]])
     return nl.TomographyDataset(
         phases=np.concatenate([base.phases, np.resize(base.unique_phases(), extra.size)]),
         values=np.concatenate([base.values, extra]))
@@ -362,8 +361,7 @@ def edge_dataset(n_per_phase=3000, n_bins=tomo.MLE_BINS, support=tomo.MLE_SUPPOR
 
 # The arithmetic bin index needs its downward correction at edges of all
 # three binnings, and its upward one at edges of the last two.
-@pytest.mark.parametrize("binning", [{}, {"n_bins": 100, "subdiv": 4},
-                                     {"n_bins": 7, "support": (-5.0, 5.0)}])
+@pytest.mark.parametrize("binning", [{}, {"n_bins": 100}, {"n_bins": 9}])
 def test_mle_matches_einsum_reference_at_edges_and_outside(binning):
     ds = edge_dataset(**binning)
     res = nl.mle_reconstruct(ds, dim=5, **binning)
@@ -437,7 +435,7 @@ def bootstrap_einsum(data, dim, n_resamples, seed):
         idx = np.concatenate([g[rng.integers(0, g.size, g.size)] for g in groups])
         resampled = nl.TomographyDataset(phases=data.phases[idx], values=data.values[idx])
         rho = oracles.mle_einsum(resampled.phases, resampled.values, dim)[0]
-        state = nl.QuantumState(dim, rho)
+        state = nl.QuantumState(rho)
         dbs.append(nl.nlsq_db(state))
         rhos.append(state.matrix)
     rhos = np.asarray(rhos)
