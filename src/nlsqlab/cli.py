@@ -512,9 +512,15 @@ _SUBCOMMANDS = (
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
-    """The `nlsqlab` parser for the arguments `argv`.  It lists every
-    subcommand but adds the options of only those named in `argv`: the
-    chosen subcommand is always one of its tokens, and argparse does not
+    """The `nlsqlab` parser for the arguments `argv`.
+
+    When `argv[0]` names a subcommand, argparse chooses it (the command is
+    the first positional and no name starts with `-`), so only that
+    subparser is built, and the usage line still lists every name.  Any
+    other argv (help, a top-level option first, no or an unknown
+    subcommand) builds all twelve, so help and usage errors name them all,
+    but adds the options of only those named in `argv`: the chosen
+    subcommand is always one of its tokens, and argparse does not
     abbreviate subcommand names."""
     # argparse builds a HelpFormatter for every add_argument, and each one
     # asks for the terminal width unless it is given; ask once per parser.
@@ -530,10 +536,17 @@ def build_parser(argv) -> argparse.ArgumentParser:
                                          "(flags override file values)")
     parser.add_argument("--deg", action="store_true",
                         help="interpret angle arguments as degrees")
+    names = [name for name, *_ in _SUBCOMMANDS]
+    chosen = argv[0] if argv and argv[0] in names else None
+    # argparse names the action by its metavar in "invalid choice" and
+    # "required" errors, so set it only where those cannot occur
+    metavar = {} if chosen is None else {"metavar": "{" + ",".join(names) + "}"}
     sub = parser.add_subparsers(
-        dest="command", required=True,
+        dest="command", required=True, **metavar,
         parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
     for name, help_text, add_options, func in _SUBCOMMANDS:
+        if chosen not in (None, name):
+            continue
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
         if name in argv:

@@ -1,20 +1,26 @@
 import argparse
 import ast
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
+import re
 import struct
 import subprocess
 import sys
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nlsqlab as nl
-from nlsqlab.cli import build_parser, cmd_gate_noise, main
+from nlsqlab.cli import _SUBCOMMANDS, build_parser, cmd_gate_noise, main
 from nlsqlab.nlsq import variance_from_moments
 
 
@@ -928,20 +934,97 @@ def test_help_text_follows_terminal_width(monkeypatch, capsys, argv, columns):
 
 
 def test_parsing_adds_only_the_chosen_subcommands_options():
-    def with_options(parser):
+    def built(parser):
+        """(name, whether its options were added) of each subparser built."""
         sub = next(a for a in parser._actions if a.dest == "command")
-        assert list(sub.choices) == SUBCOMMANDS
-        return {name for name, sp in sub.choices.items()
-                if [a.dest for a in sp._actions] != ["help"]}
+        return [(name, [a.dest for a in sp._actions] != ["help"])
+                for name, sp in sub.choices.items()]
 
+    # a leading subcommand name builds only that subparser
     argv = ["gate-noise", "--ancilla", "fock:1", "--kappa", "2"]
     parser = build_parser(argv)
-    assert with_options(parser) == {"gate-noise"}
+    assert built(parser) == [("gate-noise", True)]
     args = parser.parse_args(argv)
     assert (args.func, args.ancilla, args.kappa) == (cmd_gate_noise, "fock:1", 2.0)
-    assert with_options(build_parser(["--help"])) == set()
+    # any other argv builds all twelve, with the options of those it names
+    for argv in (["--help"], [], ["bogus"]):
+        assert built(build_parser(argv)) == [(name, False) for name in SUBCOMMANDS]
     # a value that names another subcommand builds its options too, harmlessly
-    assert with_options(build_parser(["sample", "--out", "pipeline"])) == {"sample", "pipeline"}
+    assert built(build_parser(["--deg", "sample", "--out", "pipeline"])) == [
+        (name, name in ("sample", "pipeline")) for name in SUBCOMMANDS]
+
+
+def _parse(parser, argv):
+    """(exit code, stdout, stderr, namespace) of `parser.parse_args(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    code = args = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
+HOSTILE_VALUES = ["nan", "inf", "-0", "1e308", ",", "", "x"]
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv that starts with a subcommand name, a top-level option, help
+    or junk, followed by one subcommand's option strings, subcommand names
+    and hostile values."""
+    name = draw(st.sampled_from(SUBCOMMANDS))
+    first = draw(st.sampled_from(SUBCOMMANDS + ["--deg", "--de", "--config", "--co", "-h",
+                                                "--help", "--", "bogus", ""]))
+    sub = next(a for a in build_parser([name])._actions if a.dest == "command")
+    options = sorted(sub.choices[name]._option_string_actions)
+    rest = st.sampled_from(options + SUBCOMMANDS + HOSTILE_VALUES)
+    return [first, *draw(st.lists(rest, max_size=6))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs())
+@example(["optimize", "--bogus"])
+@example(["gate-noise", "--deg"])
+@example(["pipeline", "1"])
+def test_one_subparser_parses_like_all_twelve(argv):
+    # "" is no subcommand, so the reference builds all twelve subparsers
+    with mock.patch.dict(os.environ, {"COLUMNS": "100"}):
+        assert _parse(build_parser(argv), argv) == _parse(build_parser(["", *argv]), argv)
+
+
+BRACED_NAMES = "{" + ",".join(SUBCOMMANDS) + "}"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--help", "optimize"], ["-h", "sample"]],
+                         ids=["help", "help-optimize", "h-sample"])
+def test_help_lists_every_subcommand(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert BRACED_NAMES in out
+    assert [name for name, *_ in _SUBCOMMANDS] == SUBCOMMANDS
+    for name, help_text, *_ in _SUBCOMMANDS:
+        assert re.search(rf"^ +{re.escape(name)} +{re.escape(help_text)}$", out, re.MULTILINE)
+
+
+@pytest.mark.parametrize("argv,error", [
+    ([], "the following arguments are required: command\n"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from "),
+    (["bogus", "optimize"], "argument command: invalid choice: 'bogus' (choose from "),
+    (["optimize", "--bogus"], "unrecognized arguments: --bogus\n"),
+], ids=["none", "bogus", "bogus-optimize", "optimize-bogus"])
+def test_usage_errors_name_every_subcommand(monkeypatch, capsys, argv, error):
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    usage, _, message = err.partition("nlsqlab: error: ")
+    assert usage.startswith("usage: nlsqlab ") and BRACED_NAMES in usage
+    assert message.startswith(error)
+    # some Python versions quote the choices and some do not
+    listed = re.findall(r"[\w-]+", message[len(error):])
+    assert listed == (SUBCOMMANDS if error.endswith("(choose from ") else [])
 
 
 def test_value_naming_a_subcommand_is_a_value(tmp_path, monkeypatch, capsys):
