@@ -250,7 +250,8 @@ def _iterate(P: np.ndarray, counts: np.ndarray, dim: int, max_iters: int, tol: f
     """R*rho*R iteration on the cells with a nonzero count.
 
     Returns (rho, log-likelihood per iteration, converged); rho is
-    projected back onto the PSD cone if round-off left it outside.
+    projected back onto the PSD cone if round-off left it outside.  A step
+    that lowers the likelihood is undone and ends the iteration.
     """
     if max_iters < 1:
         raise InvalidInputError("max_iters must be at least 1")
@@ -264,14 +265,18 @@ def _iterate(P: np.ndarray, counts: np.ndarray, dim: int, max_iters: int, tol: f
     # stack viewed as (J, 2 dim**2) floats, real and imaginary parts interleaved.
     P = P[keep].view(float)
     f = counts[keep].astype(float)
-    rho = np.eye(dim, dtype=complex) / dim
+    rho = prev = np.eye(dim, dtype=complex) / dim
     trace = []
     converged = False
     for _ in range(max_iters):
         pr = np.maximum(P @ rho.ravel().view(float), MLE_PROB_FLOOR)
-        trace.append(float(f @ np.log(pr)))
+        loglik = float(f @ np.log(pr))
+        if trace and loglik < trace[-1]:
+            rho, converged = prev, True
+            break
+        trace.append(loglik)
         r = ((f / pr) @ P).view(complex).reshape(dim, dim)
-        rho = r @ rho @ r
+        prev, rho = rho, r @ rho @ r
         rho = (rho + rho.conj().T) / 2.0
         rho /= rho.trace().real
         if len(trace) > 1 and trace[-1] - trace[-2] < tol * abs(trace[-1]):

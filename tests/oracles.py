@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.special import eval_genlaguerre
 
 SQRT2 = np.sqrt(2.0)
 
@@ -116,6 +117,25 @@ def vacuum_optimum_closed_form():
 def parity_wigner_origin(rho: np.ndarray) -> float:
     signs = (-1.0) ** np.arange(rho.shape[0])
     return float(np.real(np.sum(signs * np.diag(rho)))) / np.pi
+
+
+def wigner_laguerre(rho: np.ndarray, xs, ps) -> np.ndarray:
+    """W[i, j] = W(xs[i], ps[j]) as sum_mn rho_mn W_mn over every m, n, with
+    alpha = (x + ip)/sqrt(2) and the Wigner function of |m><n| in closed form:
+    for n >= m, W_mn = (-1)^m / pi sqrt(m!/n!) (2 alpha)^(n-m) exp(-2|alpha|^2)
+    L_m^(n-m)(4|alpha|^2), and W_nm = conj(W_mn)."""
+    x = np.asarray(xs, dtype=float)[:, None]
+    alpha = (x + 1j * np.asarray(ps, dtype=float)[None, :]) / SQRT2
+    r = 4.0 * np.abs(alpha) ** 2
+    w = np.zeros(alpha.shape, dtype=complex)
+    for m in range(rho.shape[0]):
+        for n in range(m, rho.shape[0]):
+            w_mn = ((-1) ** m / np.pi * math.sqrt(math.factorial(m) / math.factorial(n))
+                    * (2.0 * alpha) ** (n - m) * np.exp(-r / 2.0) * eval_genlaguerre(m, n - m, r))
+            w += rho[m, n] * w_mn
+            if n > m:
+                w += rho[n, m] * w_mn.conj()
+    return w.real
 
 
 # --- quadrature distributions ----------------------------------------------

@@ -960,7 +960,8 @@ def _parse(parser, argv):
     code = args = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            args = vars(parser.parse_args(argv))
+            # values by repr, so that a parsed nan equals itself
+            args = {k: repr(v) for k, v in vars(parser.parse_args(argv)).items()}
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue(), args
@@ -988,6 +989,7 @@ def cli_argvs(draw):
 @example(["optimize", "--bogus"])
 @example(["gate-noise", "--deg"])
 @example(["pipeline", "1"])
+@example(["mode", "--dt-ns", "nan"])
 def test_one_subparser_parses_like_all_twelve(argv):
     # "" is no subcommand, so the reference builds all twelve subparsers
     with mock.patch.dict(os.environ, {"COLUMNS": "100"}):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -267,6 +267,28 @@ def test_wigner_empty_grid_error():
         nl.wigner(nl.vacuum(4), [], [0.0])
 
 
+WIGNER_GRID = np.linspace(-6.0, 6.0, 49)
+
+
+@settings(max_examples=60, deadline=None)
+@given(psd_states())
+@example(nl.QuantumState(np.ones((1, 1))))
+def test_wigner_matches_laguerre_closed_form(state):
+    np.testing.assert_allclose(
+        nl.wigner(state, WIGNER_GRID, WIGNER_GRID),
+        oracles.wigner_laguerre(state.matrix, WIGNER_GRID, WIGNER_GRID), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("state", [nl.make_superposition([0.6, 0.8j, 0.1], 6),
+                                   nl.fock_state(9, 10)], ids=["dim6", "dim10"])
+def test_wigner_is_zero_far_from_the_origin(state):
+    # exp(-2|alpha|^2) underflows long before these points; |alpha|^2
+    # itself overflows from x = 1e155 on.  RuntimeWarnings are errors here.
+    far = [1e21, 1e33, 1e153, 1e300]
+    assert np.array_equal(nl.wigner(state, far, [0.5]), np.zeros((4, 1)))
+    assert np.array_equal(nl.wigner(state, [0.5], far), np.zeros((1, 4)))
+
+
 # ---------------------------------------------------------------------------
 # log factorials
 # ---------------------------------------------------------------------------
@@ -283,12 +305,13 @@ def test_log_factorials_match_gammaln(n):
 # serialization
 # ---------------------------------------------------------------------------
 
-def test_json_roundtrip():
-    state = nl.apply_loss(nl.make_superposition([0.6, 0.8j], 5), 0.2)
+@given(psd_states())
+@example(nl.apply_loss(nl.make_superposition([0.6, 0.8j], 5), 0.2))
+def test_json_roundtrip(state):
     blob = json.dumps(nl.state_to_json(state))
     back = nl.state_from_json(json.loads(blob))
     assert back.dim == state.dim
-    assert np.abs(back.matrix - state.matrix).max() < 1e-15
+    assert back.matrix.tobytes() == state.matrix.tobytes()
 
 
 def test_state_validation_rejects_bad_matrices():

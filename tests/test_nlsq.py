@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlsqlab as nl
@@ -206,14 +206,14 @@ def test_rescale_rejects_bad_scale():
         nl.kappa_rescale(res, -2.0)
 
 
-def test_ratio_kappa_invariance():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        state = random_state(rng, 3, 8)
-        base = nl.optimal_nonlinear_variance(state, kappa=1.0).ratio
-        for u in (1e-4, 0.3, 0.5, 2.0, 3.0, 1e4):
-            other = nl.optimal_nonlinear_variance(state, kappa=u ** 3).ratio
-            assert other == pytest.approx(base, rel=1e-12)
+@settings(max_examples=60, deadline=None)
+@given(psd_states(), st.integers(3, 5))
+@example(random_state(np.random.default_rng(23), 3, 8), 3)
+def test_ratio_kappa_invariance(state, order):
+    base = nl.optimal_nonlinear_variance(state, kappa=1.0, order=order).ratio
+    for u in (1e-4, 0.3, 0.5, 2.0, 3.0, 1e4):
+        other = nl.optimal_nonlinear_variance(state, kappa=u ** 3, order=order).ratio
+        assert other == pytest.approx(base, rel=1e-12)
 
 
 def test_rescale_far_from_unit_strength_matches_direct():

@@ -9,6 +9,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import nlsqlab as nl
 from nlsqlab import temporal, tomo
@@ -444,6 +447,22 @@ def test_trace_determinism_and_roundtrip():
     assert back.n_events == 40
     assert back.dt == pytest.approx(mode.dt, rel=1e-12)
     assert np.allclose(back.t, mode.t, atol=1e-15)
+
+
+@given(st.data(), st.floats(1e-15, 1e-3), st.integers(1, 5), st.integers(2, 7))
+def test_trace_file_round_trip(data, dt, n_events, n_bins):
+    finite = {"allow_nan": False, "allow_infinity": False}
+    samples = data.draw(hnp.arrays(np.float32, (n_events, n_bins),
+                                   elements=st.floats(width=32, **finite)))
+    phases = data.draw(hnp.arrays(np.float64, n_events, elements=st.floats(**finite)))
+    ts = nl.TraceSet(samples, dt, phases, (np.arange(n_bins) - (n_bins - 1) / 2.0) * dt)
+    buf = io.BytesIO()
+    nl.save_traces(ts, buf)
+    back = nl.load_traces(io.BytesIO(buf.getvalue()))
+    assert back.traces.tobytes() == samples.tobytes()
+    assert back.phases.tobytes() == phases.tobytes()
+    # The header holds dt in ns, and dt * 1e9 * 1e-9 is not always dt.
+    assert abs(back.dt - dt) <= np.spacing(dt)
 
 
 def _trace_file(dt_ns=None):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlsqlab as nl
@@ -234,6 +234,32 @@ def test_mle_loglik_monotone_and_physical_prefixes():
         m = partial.state.matrix
         assert np.abs(m - m.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(m)[0] > -1e-10
+
+
+@settings(max_examples=50, deadline=None)
+@given(psd_states(), st.integers(10, 300), st.integers(0, 2**32 - 1))
+@example(nl.fock_state(10, 11), 50, 10)
+def test_mle_returns_a_state_and_never_lowers_the_likelihood(truth, n_per_phase, seed):
+    data = nl.sample(truth, n_per_phase=n_per_phase, seed=seed)
+    for dim in (2, truth.dim, 8):
+        res = nl.mle_reconstruct(data, dim=dim)
+        m = res.state.matrix
+        assert np.abs(m - m.conj().T).max() <= 1e-12
+        assert abs(np.trace(m) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(m)[0] >= -1e-10
+        assert np.all(np.diff(res.loglik_trace) >= 0.0)
+
+
+def test_mle_undoes_a_step_that_lowers_the_likelihood():
+    # At dim 2 one R*rho*R step of this fit lowers its likelihood.
+    data = nl.sample(nl.fock_state(10, 11), n_per_phase=50, seed=10)
+    res = nl.mle_reconstruct(data, dim=2)
+    assert res.converged
+    assert np.all(np.diff(res.loglik_trace) >= 0.0)
+    # The state returned is the one whose likelihood ends the trace.
+    before = nl.mle_reconstruct(data, dim=2, max_iters=res.iters - 1, tol=0.0)
+    assert before.state.matrix.tobytes() == res.state.matrix.tobytes()
+    assert np.array_equal(before.loglik_trace, res.loglik_trace[:-1])
 
 
 def test_mle_phase_recovery_with_six_phases():
