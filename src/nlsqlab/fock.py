@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError
+from .errors import DimensionError, InvalidInputError, TruncationError
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -190,8 +190,11 @@ def wigner(state: QuantumState, xs, ps) -> np.ndarray:
 
     Evaluated at alpha = (x + ip)/sqrt(2) by the recurrence of
     `_wigner_block`, 4096 points at a time, from the state's own matrix
-    elements.  Where exp(-2|alpha|^2) underflows, W is 0.0.  That seed is
-    subnormal from |alpha|^2 = 354 on, inside a 350-level state's support.
+    elements.  Its seed exp(-2|alpha|^2) is below the normal float range
+    from |alpha|^2 = 354 on and 0.0 from 372, and W built on it is lost.
+    Such a point raises TruncationError if the state populates a level at
+    or above |alpha|^2 / 2; farther out W is below 1e-84 (mpmath, |n> at
+    |alpha|^2 = 2n for n = 177 to 600), and there it is 0.0 or round-off.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ps = np.asarray(ps, dtype=float).ravel()
@@ -200,6 +203,15 @@ def wigner(state: QuantumState, xs, ps) -> np.ndarray:
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ps))):
         raise InvalidInputError("phase-space grid must be finite")
     alphas = ((xs[:, None] + 1j * ps[None, :]) / np.sqrt(2.0)).ravel()
+    with np.errstate(over="ignore"):
+        r2 = np.abs(alphas) ** 2
+        subnormal = np.exp(-2.0 * r2) < np.finfo(float).tiny
+    top = np.flatnonzero(np.diagonal(state.matrix).real > 0)[-1]
+    lost = r2[subnormal & (r2 <= 2.0 * top)]
+    if lost.size:
+        raise TruncationError(
+            f"exp(-2|alpha|^2) is below the normal float range at |alpha|^2 = "
+            f"{lost[0]:.6g}, where level {top} of the state still reaches")
     w = np.empty(alphas.size)
     chunk = 4096
     for lo in range(0, alphas.size, chunk):

@@ -2,9 +2,10 @@
 
 Quadrature statistics follow pr(x|theta) = sum_mn rho_mn e^{i(m-n)theta}
 psi_m(x) psi_n(x) with oscillator eigenfunctions normalized to a vacuum
-variance of 1/2.  Reconstruction uses the standard iterated R*rho*R scheme
-on binned data.  The dataset CSV is written in blocks of 8192 rows and
-parsed by numpy's C reader.
+variance of 1/2, so every phase reads one real table of psi_n per grid.
+Reconstruction uses the standard iterated R*rho*R scheme on binned data.
+The dataset CSV is written in blocks of 8192 rows and parsed by numpy's C
+reader.
 """
 
 from __future__ import annotations
@@ -59,18 +60,25 @@ def oscillator_wavefunctions(dim: int, x) -> np.ndarray:
     return psi
 
 
-def _rotated_wavefunctions(dim: int, phase: float, x) -> np.ndarray:
-    """v_m(x) = e^{-i m phase} psi_m(x), so pr = v^dag rho v term by term."""
-    psi = oscillator_wavefunctions(dim, x)
-    return np.exp(-1j * phase * np.arange(dim))[:, None] * psi
+def _phase_factors(dim: int, phases) -> np.ndarray:
+    """E[k, m, n] = e^{i(m-n) phases[k]}: <x_theta|n> = e^{in theta} psi_n(x),
+    so pr(x|theta) = sum_mn Re(rho_mn E_mn) psi_m(x) psi_n(x), and the
+    projector on x at theta is conj(E) times the real one at phase 0."""
+    m = np.arange(dim)
+    return np.exp(1j * np.multiply.outer(np.asarray(phases, dtype=float), m[:, None] - m))
+
+
+def _densities(state: QuantumState, phases, psi: np.ndarray):
+    """pr(x|phase) for each of `phases` in turn, on the grid of the table
+    psi of `oscillator_wavefunctions`, clipped at 0 against round-off."""
+    for a in (state.matrix * _phase_factors(state.dim, phases)).real:
+        yield np.clip((psi * (a @ psi)).sum(0), 0.0, None)
 
 
 def quadrature_pdf(state: QuantumState, phase: float, x):
     """Probability density of a quadrature sample at the given LO phase."""
     scalar = np.isscalar(x)
-    v = _rotated_wavefunctions(state.dim, float(phase), x)
-    pr = (v.conj() * (state.matrix @ v)).sum(0).real
-    pr = np.clip(pr, 0.0, None)
+    pr = next(_densities(state, [float(phase)], oscillator_wavefunctions(state.dim, x)))
     return float(pr[0]) if scalar else pr
 
 
@@ -113,16 +121,24 @@ class TomographyDataset:
         return f"TomographyDataset(n={len(self)}, phases={len(self.unique_phases())})"
 
 
-def _cdf_table(state: QuantumState, phase: float):
+def _cdf_tables(state: QuantumState, phases: np.ndarray):
+    """The sampler grid x and, in row k, the trapezoid-rule quadrature CDF
+    at phases[k] on it, normalised to end at 1.  Every row comes from one
+    table of oscillator wavefunctions on the grid.  The first phase whose
+    distribution the grid holds less than SAMPLER_MIN_MASS of raises
+    TruncationError."""
     x = np.linspace(*SAMPLER_SUPPORT, SAMPLER_POINTS)
-    pdf = quadrature_pdf(state, phase, x)
-    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2.0 * np.diff(x))])
-    if not cdf[-1] >= SAMPLER_MIN_MASS:
-        raise TruncationError(
-            f"sampler support {SAMPLER_SUPPORT} holds only {cdf[-1]:.12f} of the "
-            f"quadrature distribution at phase {phase:g} (needs {SAMPLER_MIN_MASS})"
-        )
-    cdf /= cdf[-1]
+    dx = np.diff(x)
+    cdf = np.zeros((len(phases), x.size))
+    pdfs = _densities(state, phases, oscillator_wavefunctions(state.dim, x))
+    for row, phase, pdf in zip(cdf, phases, pdfs):
+        np.cumsum((pdf[1:] + pdf[:-1]) / 2.0 * dx, out=row[1:])
+        if not row[-1] >= SAMPLER_MIN_MASS:
+            raise TruncationError(
+                f"sampler support {SAMPLER_SUPPORT} holds only {row[-1]:.12f} of the "
+                f"quadrature distribution at phase {phase:g} (needs {SAMPLER_MIN_MASS})"
+            )
+    cdf /= cdf[:, -1:]
     return x, cdf
 
 
@@ -140,20 +156,21 @@ def _lo_phases(phases) -> np.ndarray:
 
 def _draw(state: QuantumState, phases: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF quadrature samples: uniform u[i] mapped through the
-    state's quadrature CDF at LO phase phases[i], one table per distinct
-    phase.
+    state's quadrature CDF at LO phase phases[i], one table row per
+    distinct phase.
 
     Each phase's uniforms are looked up in sorted order, so that np.interp,
     which starts each binary search at the previous query's bin, finds the
     bin at once.  The bin found does not depend on where the search starts,
     so the order cannot change a sample.
     """
+    lo = np.unique(phases)
+    x, cdf = _cdf_tables(state, lo)
     q = np.empty(u.size)
-    for phase in np.unique(phases):
+    for phase, row in zip(lo, cdf):
         idx = np.flatnonzero(phases == phase)
         idx = idx[np.argsort(u[idx])]
-        x, cdf = _cdf_table(state, float(phase))
-        q[idx] = np.interp(u[idx], cdf, x)
+        q[idx] = np.interp(u[idx], row, x)
     return q
 
 
@@ -202,18 +219,6 @@ class MleResult:
         }
 
 
-def _bin_projectors(dim: int, phase: float, edges: np.ndarray) -> np.ndarray:
-    """Integrated projector per bin, midpoint rule with MLE_SUBDIV points."""
-    n_bins = edges.size - 1
-    width = edges[1] - edges[0]
-    sub = (np.arange(MLE_SUBDIV) + 0.5) / MLE_SUBDIV
-    xs = (edges[:-1, None] + sub[None, :] * width).ravel()
-    v = _rotated_wavefunctions(dim, phase, xs)          # (dim, n_bins*MLE_SUBDIV)
-    v = v.reshape(dim, n_bins, MLE_SUBDIV)
-    pi = np.einsum("mjs,njs->jmn", v, v.conj()) * (width / MLE_SUBDIV)
-    return pi
-
-
 def _binned(data: TomographyDataset, dim: int, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Projector stack and the cell of every sample.
 
@@ -242,16 +247,25 @@ def _binned(data: TomographyDataset, dim: int, n_bins: int) -> tuple[np.ndarray,
     b -= x < edges[b]
     b += (x >= edges[b + 1]) & (b < n_bins - 1)
     cell = np.where((x >= edges[0]) & (x <= edges[-1]), k * n_bins + b, -1)
-    P = np.concatenate([_bin_projectors(dim, float(p), edges) for p in phases])
+    # Integrated projector per bin at phase 0, real, by the midpoint rule
+    # with MLE_SUBDIV points; at phase theta it is conj(E(theta)) times that.
+    width = edges[1] - edges[0]
+    sub = (np.arange(MLE_SUBDIV) + 0.5) / MLE_SUBDIV
+    psi = oscillator_wavefunctions(dim, (edges[:-1, None] + sub * width).ravel())
+    psi = psi.reshape(dim, n_bins, MLE_SUBDIV)
+    pi0 = np.einsum("mjs,njs->jmn", psi, psi, order="C") * (width / MLE_SUBDIV)
+    P = _phase_factors(dim, phases).conj()[:, None] * pi0
     return P.reshape(-1, dim * dim), cell
 
 
 def _iterate(P: np.ndarray, counts: np.ndarray, dim: int, max_iters: int, tol: float):
     """R*rho*R iteration on the cells with a nonzero count.
 
-    Returns (rho, log-likelihood per iteration, converged); rho is
-    projected back onto the PSD cone if round-off left it outside.  A step
-    that lowers the likelihood is undone and ends the iteration.
+    Returns (rho, log-likelihood per iteration, converged), where the last
+    log-likelihood is rho's own: the gain is tested before each update, and
+    no update follows the last evaluation.  rho is projected back onto the
+    PSD cone if round-off left it outside.  A step that lowers the
+    likelihood is undone and ends the iteration.
     """
     if max_iters < 1:
         raise InvalidInputError("max_iters must be at least 1")
@@ -267,21 +281,20 @@ def _iterate(P: np.ndarray, counts: np.ndarray, dim: int, max_iters: int, tol: f
     f = counts[keep].astype(float)
     rho = prev = np.eye(dim, dtype=complex) / dim
     trace = []
-    converged = False
-    for _ in range(max_iters):
+    while True:
         pr = np.maximum(P @ rho.ravel().view(float), MLE_PROB_FLOOR)
         loglik = float(f @ np.log(pr))
         if trace and loglik < trace[-1]:
             rho, converged = prev, True
             break
         trace.append(loglik)
+        converged = len(trace) > 1 and trace[-1] - trace[-2] < tol * abs(trace[-1])
+        if converged or len(trace) == max_iters:
+            break
         r = ((f / pr) @ P).view(complex).reshape(dim, dim)
         prev, rho = rho, r @ rho @ r
         rho = (rho + rho.conj().T) / 2.0
         rho /= rho.trace().real
-        if len(trace) > 1 and trace[-1] - trace[-2] < tol * abs(trace[-1]):
-            converged = True
-            break
 
     eigs = np.linalg.eigvalsh(rho)
     if eigs[0] < 0:  # tiny negative round-off; project back onto PSD cone
@@ -300,6 +313,7 @@ def mle_reconstruct(data: TomographyDataset, dim: int = 5,
     Iterates rho <- normalize(R(rho) rho R(rho)) with
     R = sum_j f_j / pr_j(rho) * Pi_j until the relative log-likelihood gain
     drops below `tol` or `max_iters` is reached (then flagged, not raised).
+    The state returned is the one whose likelihood ends `loglik_trace`.
     One iteration is two matrix-vector products with the projector stack.
     A top-level population above MLE_CUTOFF_POPULATION is flagged too: the
     state may not fit in `dim` levels.

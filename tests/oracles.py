@@ -190,7 +190,9 @@ def mle_einsum(phases, values, dim, max_iters=2000, tol=1e-9, n_bins=256,
                support=(-6.0, 6.0), subdiv=8, floor=1e-12):
     """The iterated R*rho*R estimate with one np.histogram per phase and
     two einsum contractions per iteration.  Phases must already lie in
-    [0, pi).  Returns (rho, iters, loglik trace, converged, warnings)."""
+    [0, pi).  The gain is tested before each update, so rho is the state
+    whose likelihood ends the trace.  Returns (rho, iters, loglik trace,
+    converged, warnings)."""
     edges = np.linspace(support[0], support[1], n_bins + 1)
     projectors = []
     counts = []
@@ -211,19 +213,17 @@ def mle_einsum(phases, values, dim, max_iters=2000, tol=1e-9, n_bins=256,
         warnings.append(f"dropped {dropped} samples outside {support}")
     rho = np.eye(dim, dtype=complex) / dim
     trace = []
-    converged = False
-    iters = 0
     for iters in range(1, max_iters + 1):
         pr = np.einsum("jmn,nm->j", pi, rho).real
         pr = np.clip(pr, floor, None)
         trace.append(float(f @ np.log(pr)))
+        converged = len(trace) > 1 and trace[-1] - trace[-2] < tol * abs(trace[-1])
+        if converged or iters == max_iters:
+            break
         r = np.einsum("j,jmn->mn", f / pr, pi)
         rho = r @ rho @ r
         rho = (rho + rho.conj().T) / 2.0
         rho /= rho.trace().real
-        if len(trace) > 1 and trace[-1] - trace[-2] < tol * abs(trace[-1]):
-            converged = True
-            break
     if not converged:
         warnings.append(f"no convergence after {max_iters} iterations")
     if np.linalg.eigvalsh(rho)[0] < 0:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import nlsqlab as nl
-from nlsqlab.errors import DimensionError, InvalidInputError
+from nlsqlab.errors import DimensionError, InvalidInputError, TruncationError
 
 import oracles
 from strategies import psd_states
@@ -282,11 +282,26 @@ def test_wigner_matches_laguerre_closed_form(state):
 @pytest.mark.parametrize("state", [nl.make_superposition([0.6, 0.8j, 0.1], 6),
                                    nl.fock_state(9, 10)], ids=["dim6", "dim10"])
 def test_wigner_is_zero_far_from_the_origin(state):
-    # exp(-2|alpha|^2) underflows long before these points; |alpha|^2
-    # itself overflows from x = 1e155 on.  RuntimeWarnings are errors here.
-    far = [1e21, 1e33, 1e153, 1e300]
-    assert np.array_equal(nl.wigner(state, far, [0.5]), np.zeros((4, 1)))
-    assert np.array_equal(nl.wigner(state, [0.5], far), np.zeros((1, 4)))
+    # exp(-2|alpha|^2) underflows long before these points; 2|alpha|^2
+    # overflows from x = 1.4e154 on, and |alpha|^2 itself from x = 1e155.
+    # RuntimeWarnings are errors here.
+    far = [1e21, 1e33, 1e153, 1.5e154, 1e300]
+    assert np.array_equal(nl.wigner(state, far, [0.5]), np.zeros((5, 1)))
+    assert np.array_equal(nl.wigner(state, [0.5], far), np.zeros((1, 5)))
+
+
+def test_wigner_raises_where_its_seed_is_subnormal_inside_the_state():
+    # For |399>, mpmath gives W = 0.0145, 0.0104 and 0.0124 at x = 28, 28.3
+    # and -27.5 (p = 0; the ring is at |x| = 28.27).  The recurrence's seed
+    # exp(-2|alpha|^2) is subnormal there, and W came out as 0.0.
+    state = nl.fock_state(399, 400)
+    for x in (28.0, 28.3, -27.5):
+        with pytest.raises(TruncationError, match="below the normal float range"):
+            nl.wigner(state, [0.0, x], [0.0])
+        with pytest.raises(TruncationError, match="below the normal float range"):
+            nl.wigner(state, [0.0], [x])
+    # Past twice the top level W is below 1e-84, and 0.0 is returned.
+    assert nl.wigner(state, [40.0, 1e21], [0.0]).tolist() == [[0.0], [0.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -55,14 +55,23 @@ def test_pdf_phase_dependence_tracks_coherence():
 
 
 @settings(max_examples=40, deadline=None)
-@given(psd_states(), st.floats(-10.0, 10.0))
-def test_pdf_matches_the_einsum_contraction(state, phase):
+@given(psd_states(), st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6)))
+def test_pdf_matches_the_einsum_contraction(state, phases):
     # The two contractions sum the same dim^2 terms in other orders, so they
     # may differ by dim^2 rounding errors of the largest partial sum.
     x = np.linspace(-8.0, 8.0, 1001)
-    ref, scale = oracles.quadrature_pdf_einsum(state.matrix, phase, x)
-    got = nl.quadrature_pdf(state, phase, x)
+    ref, scale = oracles.quadrature_pdf_einsum(state.matrix, phases[0], x)
+    got = nl.quadrature_pdf(state, phases[0], x)
     assert np.all(np.abs(got - ref) <= 2 * state.dim ** 2 * np.finfo(float).eps * scale)
+    # The sampler's CDF rows, unsorted phases and repeats included, against
+    # the trapezoid rule on the complex reference at each row's phase.
+    grid, cdf = tomo._cdf_tables(state, np.array(phases))
+    assert np.array_equal(grid, np.linspace(*tomo.SAMPLER_SUPPORT, tomo.SAMPLER_POINTS))
+    for phase, row in zip(phases, cdf):
+        pdf = oracles.quadrature_pdf_einsum(state.matrix, phase, grid)[0]
+        ref = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2.0 * np.diff(grid))])
+        assert np.abs(row - ref / ref[-1]).max() <= 1e-12
 
 
 def test_pdf_matches_wigner_marginals():
@@ -166,6 +175,9 @@ def test_sampler_rejects_mass_outside_its_support(n):
     # otherwise renormalise what its support holds and drop the rest
     with pytest.raises(TruncationError, match="holds only"):
         nl.sample(nl.fock_state(n, n + 1), n_per_phase=10)
+    # every phase falls short; the message names the first in ascending order
+    with pytest.raises(TruncationError, match=r"at phase 0\.5 "):
+        nl.sample(nl.fock_state(n, n + 1), phases=[1.0, 0.5], n_per_phase=10)
     mode = nl.composite_mode(nl.default_gammas(), 0.0, nl.default_grid())
     with pytest.raises(TruncationError, match="holds only"):
         nl.simulate_traces(nl.fock_state(n, n + 1), mode, 10, [0.0])
@@ -190,7 +202,8 @@ def test_draw_equals_per_element_interp_bit_for_bit(layout):
         g = g[:, :rng.integers(1, dim + 1)]
         rho = g @ g.conj().T
         state = nl.QuantumState(rho / np.trace(rho).real)
-        tables = {p: tomo._cdf_table(state, float(p)) for p in lo}
+        x, cdf = tomo._cdf_tables(state, lo)
+        tables = {p: (x, row) for p, row in zip(lo, cdf)}
         u = rng.random(n)
         # exact table values, the top of the table (where the CDF is flat at
         # 1.0) among them, at the slot's own phase
@@ -256,10 +269,29 @@ def test_mle_undoes_a_step_that_lowers_the_likelihood():
     res = nl.mle_reconstruct(data, dim=2)
     assert res.converged
     assert np.all(np.diff(res.loglik_trace) >= 0.0)
-    # The state returned is the one whose likelihood ends the trace.
-    before = nl.mle_reconstruct(data, dim=2, max_iters=res.iters - 1, tol=0.0)
-    assert before.state.matrix.tobytes() == res.state.matrix.tobytes()
-    assert np.array_equal(before.loglik_trace, res.loglik_trace[:-1])
+    # The state returned is the one whose likelihood ends the trace: a run
+    # stopped there by max_iters returns it too.
+    same = nl.mle_reconstruct(data, dim=2, max_iters=res.iters, tol=0.0)
+    assert same.state.matrix.tobytes() == res.state.matrix.tobytes()
+    assert np.array_equal(same.loglik_trace, res.loglik_trace)
+
+
+def binned_loglik(data, state):
+    """log L of `state` on the MLE cells of `data`, with the probability floor."""
+    P, cell = tomo._binned(data, state.dim, tomo.MLE_BINS)
+    counts = np.bincount(cell[cell >= 0], minlength=len(P))
+    keep = counts > 0
+    pr = np.einsum("jmn,nm->j", P.reshape(-1, state.dim, state.dim)[keep], state.matrix).real
+    return float(counts[keep] @ np.log(np.maximum(pr, tomo.MLE_PROB_FLOOR)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(psd_states(), st.integers(10, 300), st.integers(0, 2**32 - 1))
+def test_mle_loglik_is_the_returned_states_own(truth, n_per_phase, seed):
+    data = nl.sample(truth, n_per_phase=n_per_phase, seed=seed)
+    for max_iters in (1, 2, 7, tomo.MLE_MAX_ITERS):
+        res = nl.mle_reconstruct(data, dim=truth.dim, max_iters=max_iters)
+        assert binned_loglik(data, res.state) == pytest.approx(res.loglik, rel=1e-12)
 
 
 def test_mle_phase_recovery_with_six_phases():
