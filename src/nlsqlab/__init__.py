@@ -14,10 +14,11 @@ from .genmodel import (FitResult, GenerationParams, count_rate_ratio, fit_phi_L,
 from .nlsq import (NlsqResult, kappa_rescale, nlsq_db, noise_moments,
                    optimal_nonlinear_variance, optimize_coefficients,
                    sweep_rows, vacuum_optimum, write_sweep_csv)
-from .temporal import (MatchedFilter, TemporalMode, TraceSet, composite_mode,
-                       composite_weights, correlations_by_phase, default_gammas,
-                       default_grid, design_matched_filter, gamma_from_hwhm,
-                       load_traces, mode_overlap, mode_quadratures, mode_to_csv,
+from .temporal import (MatchedFilter, SimulatedTraces, TemporalMode, TraceFile,
+                       TraceSet, composite_mode, composite_weights,
+                       correlations_by_phase, default_gammas, default_grid,
+                       design_matched_filter, gamma_from_hwhm, load_traces,
+                       mode_overlap, mode_quadratures, mode_to_csv,
                        pca_mode_estimate, realtime_vs_postprocess, save_traces,
                        simulate_readout, simulate_traces, single_pole_mode)
 from .tomo import (BootstrapErrors, MleResult, TomographyDataset,

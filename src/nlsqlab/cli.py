@@ -268,7 +268,7 @@ def cmd_traces(args) -> int:
     state = _state_from_options(vars(args), args.deg)
     mode = _mode_from_options(args)
     phases = [math.radians(p) for p in _floats(args.phases_deg)]
-    ts = temporal.simulate_traces(state, mode, args.events, phases, seed=args.seed)
+    ts = temporal.SimulatedTraces(state, mode, args.events, phases, seed=args.seed)
     with _create(args.out, "wb") as fh:
         temporal.save_traces(ts, fh)
     _log(f"wrote {ts.n_events} traces x {ts.n_bins} bins to {args.out}")
@@ -280,16 +280,16 @@ def cmd_pca(args) -> int:
     if not path:
         raise InvalidInputError("pca needs --in FILE (binary trace set)")
     with open(path, "rb") as fh:
-        ts = temporal.load_traces(fh)
-    window = None
-    if args.window_ns:
-        try:
-            lo, hi = _floats(args.window_ns)
-        except ValueError:
-            raise InvalidInputError(
-                f"--window-ns {args.window_ns!r}: expected two numbers LO,HI") from None
-        window = (lo * 1e-9, hi * 1e-9)
-    est = temporal.pca_mode_estimate(ts, window=window)
+        traces = temporal.TraceFile(fh)
+        window = None
+        if args.window_ns:
+            try:
+                lo, hi = _floats(args.window_ns)
+            except ValueError:
+                raise InvalidInputError(
+                    f"--window-ns {args.window_ns!r}: expected two numbers LO,HI") from None
+            window = (lo * 1e-9, hi * 1e-9)
+        est = temporal.pca_mode_estimate(traces, window=window)
     if args.compare:
         truth = _mode_from_options(args)
         _log(f"overlap with analytic mode: {temporal.mode_overlap(est, truth):.6f}")

@@ -41,6 +41,11 @@ MIN_PCA_EVENTS = 1000
 #: default grid a float32 block (0.5 MB) and its float64 cast (1 MB) stay in
 #: cache between their steps.
 _CHUNK = 128
+#: Trace rows that the trace-file reader and PCA take at a time: a 4-MB
+#: float32 block on the default grid.  PCA adds each block's float32 Gram to
+#: a float64 one; at 256-512 rows those additions cost it 25-60 ms more on
+#: 10^4 events.
+_BLOCK_ROWS = 1024
 #: PCA's block Lanczos: the residual bar, relative to the largest |Ritz
 #: value|; how many blocks it adds between residual tests; and how many
 #: blocks it adds before it gives up with NumericalError.
@@ -345,6 +350,21 @@ def _nelder_mead(objective, start):
 # ---------------------------------------------------------------------------
 
 
+def _check_step(t: np.ndarray, dt: float) -> None:
+    """Raise InvalidInputError unless dt is the step of the checked grid t
+    to within 1e-9 relative."""
+    step = float(t[1] - t[0])
+    if not abs(step - dt) <= 1e-9 * dt:
+        raise InvalidInputError(f"bin width {dt!r} s differs from the grid's step {step!r} s")
+
+
+def _check_finite(traces: np.ndarray) -> None:
+    """Raise InvalidInputError if the samples hold a NaN or an infinity;
+    their min and max carry any, with no sample-sized mask."""
+    if traces.size and not (np.isfinite(traces.min()) and np.isfinite(traces.max())):
+        raise InvalidInputError("traces contain non-finite values")
+
+
 @dataclass(frozen=True)
 class TraceSet:
     """Simulated continuous homodyne records, one row per heralding event,
@@ -368,13 +388,8 @@ class TraceSet:
             raise DimensionError("one LO phase per trace required")
         if t.size != traces.shape[1]:
             raise DimensionError("time grid must match the trace length")
-        step = float(t[1] - t[0])
-        if not abs(step - self.dt) <= 1e-9 * self.dt:
-            raise InvalidInputError(f"bin width {self.dt!r} s differs from the "
-                                    f"grid's step {step!r} s")
-        # min and max carry any NaN or infinity, with no trace-sized mask.
-        if traces.size and not (np.isfinite(traces.min()) and np.isfinite(traces.max())):
-            raise InvalidInputError("traces contain non-finite values")
+        _check_step(t, self.dt)
+        _check_finite(traces)
         for arr in (traces, phases):
             arr.setflags(write=False)
         object.__setattr__(self, "traces", traces)
@@ -389,6 +404,11 @@ class TraceSet:
     def n_bins(self) -> int:
         return self.traces.shape[1]
 
+    def blocks(self):
+        """The rows, _BLOCK_ROWS at a time, as read-only views."""
+        for start in range(0, self.n_events, _BLOCK_ROWS):
+            yield self.traces[start:start + _BLOCK_ROWS]
+
     def __repr__(self):
         return f"TraceSet(n_events={self.n_events}, n_bins={self.n_bins})"
 
@@ -397,15 +417,47 @@ def _draw_events(state: QuantumState, mode: TemporalMode, n_events: int,
                  phases, seed: int):
     """The per-event LO phases (`phases` repeated to n_events), the
     quadratures drawn at them from the first child stream of
-    SeedSequence(seed), and a Generator on the second child."""
+    SeedSequence(seed), and the second child, which seeds the noise."""
     if n_events < 1:
         raise InvalidInputError("need at least one event")
     if abs(float(np.sum(mode.samples ** 2) * mode.dt) - 1.0) > 1e-6:
         raise InvalidInputError("mode must be normalized on its grid")
     phase_per_event = np.resize(_lo_phases(phases), n_events)
-    rng_q, rng_rest = (np.random.default_rng(c)
-                       for c in np.random.SeedSequence(seed).spawn(2))
-    return phase_per_event, _draw(state, phase_per_event, rng_q.random(n_events)), rng_rest
+    seed_q, seed_rest = np.random.SeedSequence(seed).spawn(2)
+    q = _draw(state, phase_per_event, np.random.default_rng(seed_q).random(n_events))
+    return phase_per_event, q, seed_rest
+
+
+class SimulatedTraces:
+    """The trace set `simulate_traces` returns for the same arguments, drawn
+    _CHUNK rows at a time whenever `blocks` is iterated and never held
+    whole: `save_traces` writes it block by block as it is drawn.  The
+    phases and quadratures are drawn here, so bad arguments raise before
+    any block is."""
+
+    def __init__(self, state: QuantumState, mode: TemporalMode, n_events: int,
+                 phases, seed: int = 0):
+        self.phases, self._q, self._noise_seed = _draw_events(state, mode, n_events,
+                                                              phases, seed)
+        self._f = mode.samples
+        self.n_events, self.n_bins, self.dt, self.t = n_events, mode.t.size, mode.dt, mode.t
+
+    def blocks(self):
+        """The rows, _CHUNK at a time, each in one buffer that the next
+        block overwrites.  The Generator fills a block with the next values
+        of its stream, so the rows do not depend on _CHUNK."""
+        f, dt = self._f, self.dt
+        scale = np.float32(1.0 / math.sqrt(2.0 * dt))
+        f32 = f.astype(np.float32)
+        rng = np.random.default_rng(self._noise_seed)
+        buf = np.empty((min(_CHUNK, self.n_events), self.n_bins), dtype=np.float32)
+        for start in range(0, self.n_events, _CHUNK):
+            block = buf[:min(_CHUNK, self.n_events - start)]
+            rng.standard_normal(block.shape, dtype=np.float32, out=block)
+            block *= scale
+            q = self._q[start:start + _CHUNK]
+            block -= np.outer((block @ f * dt - q).astype(np.float32), f32)
+            yield block
 
 
 def simulate_traces(state: QuantumState, mode: TemporalMode, n_events: int,
@@ -415,26 +467,16 @@ def simulate_traces(state: QuantumState, mode: TemporalMode, n_events: int,
     q is drawn from the state's quadrature distribution at each trace's LO
     phase; the additive noise is white with the vacuum variance per mode on
     the grid, with its component along f removed.  The noise is drawn as
-    float32 normals straight into the float32 result, one block of rows at
-    a time, and each row then has its float64 projection on f, minus q,
-    subtracted along f once.  Integrating a trace against f therefore gives
-    back the drawn quadrature sample up to float32 round-off.
+    float32 normals, one block of rows at a time (`SimulatedTraces`), and
+    each row then has its float64 projection on f, minus q, subtracted
+    along f once.  Integrating a trace against f therefore gives back the
+    drawn quadrature sample up to float32 round-off.
     """
-    phase_per_event, q, rng_noise = _draw_events(state, mode, n_events, phases, seed)
-    f = mode.samples
-    dt = mode.dt
-    # One block of rows at a time: the Generator fills a block with the next
-    # values of its stream, so the result does not depend on _CHUNK.
-    scale = np.float32(1.0 / math.sqrt(2.0 * dt))
-    f32 = f.astype(np.float32)
-    traces = np.empty((n_events, f.size), dtype=np.float32)
-    for start in range(0, n_events, _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        block = traces[rows]
-        rng_noise.standard_normal(block.shape, dtype=np.float32, out=block)
-        block *= scale
-        block -= np.outer((block @ f * dt - q[rows]).astype(np.float32), f32)
-    return TraceSet(traces=traces, dt=dt, phases=phase_per_event, t=mode.t)
+    sim = SimulatedTraces(state, mode, n_events, phases, seed)
+    traces = np.empty((n_events, sim.n_bins), dtype=np.float32)
+    for start, block in zip(range(0, n_events, _CHUNK), sim.blocks()):
+        traces[start:start + _CHUNK] = block
+    return TraceSet(traces=traces, dt=sim.dt, phases=sim.phases, t=sim.t)
 
 
 def simulate_readout(state: QuantumState, mode: TemporalMode, filt: MatchedFilter,
@@ -455,26 +497,29 @@ def simulate_readout(state: QuantumState, mode: TemporalMode, filt: MatchedFilte
     c = _inner(r, mode)
     # |r|^2 >= c^2 for the unit f, so only round-off can make this negative.
     spread = math.sqrt(max(_inner(r, r) - c * c, 0.0) / 2.0)
-    phases, q, rng_z = _draw_events(state, mode, np.size(phases), phases, seed)
-    return phases, q, c * q + spread * rng_z.standard_normal(q.size)
+    phases, q, seed_z = _draw_events(state, mode, np.size(phases), phases, seed)
+    return phases, q, c * q + spread * np.random.default_rng(seed_z).standard_normal(q.size)
 
 
-def pca_mode_estimate(traces: TraceSet, window=None) -> TemporalMode:
+def pca_mode_estimate(traces: TraceSet | TraceFile, window=None) -> TemporalMode:
     """Leading principal component of the trace covariance after subtracting
     the known vacuum floor 1/(2 dt); returned sign-fixed (positive peak) and
     normalized.
 
-    `window = (t_lo, t_hi)` restricts the analysis to bins inside the window
-    (estimation error grows with the number of analyzed bins, so localizing
-    around the herald helps); outside bins enter the returned mode as zeros.
-    No copy of the traces is made: the Gram matrix X^T X of the uncentered
-    window accumulates in float32, and the outer product of the float64
-    column means is subtracted from it in float64.  Only the two largest
-    eigenpairs of the float64 covariance are computed, by block
-    Lanczos (`_top_two_eigenpairs`), which raises NumericalError when it does
-    not converge.  A vacuum floor or a covariance diagonal that is not
-    finite (a subnormal dt, or samples whose float32 squares overflow)
-    raises NumericalError before the eigensolver starts.
+    `traces` is a TraceSet or a TraceFile.  Either is read in blocks of
+    _BLOCK_ROWS rows, so a trace file is never held whole and a TraceSet's
+    rows are not copied.  `window = (t_lo, t_hi)` restricts the analysis to
+    bins inside the window (estimation error grows with the number of
+    analyzed bins, so localizing around the herald helps); outside bins
+    enter the returned mode as zeros.  Each block adds the float32 Gram
+    matrix X^T X of its uncentered window to a float64 Gram, and its float64
+    column sums to float64 totals; the outer product of the column means is
+    then subtracted in float64.  Only the two largest eigenpairs of the
+    float64 covariance are computed, by block Lanczos
+    (`_top_two_eigenpairs`), which raises NumericalError when it does not
+    converge.  A vacuum floor or a covariance diagonal that is not finite (a
+    subnormal dt, or samples whose float32 squares overflow) raises
+    NumericalError before the eigensolver starts.
     """
     if traces.n_events < MIN_PCA_EVENTS:
         raise InvalidInputError(f"need at least {MIN_PCA_EVENTS} traces")
@@ -483,17 +528,21 @@ def pca_mode_estimate(traces: TraceSet, window=None) -> TemporalMode:
     if inside.size < 2:
         raise InvalidInputError(f"analysis window holds {inside.size} grid "
                                 "point(s); PCA needs at least 2")
-    # The grid increases, so the window is one slice: a view, not a copy.
+    # The grid increases, so the window is one slice of each block: a view.
     first, stop = int(inside[0]), int(inside[-1]) + 1
-    x = traces.traces[:, first:stop]
+    cov, sums = np.zeros((stop - first, stop - first)), np.zeros(stop - first)
     with np.errstate(over="ignore", invalid="ignore"):
+        for block in traces.blocks():
+            x = block[:, first:stop]
+            cov += x.T @ x
+            sums += x.sum(axis=0, dtype=np.float64)
+        # After the pass, so that a trace file's own faults are named first.
         floor = 1.0 / (2.0 * traces.dt)
         if not math.isfinite(floor):
             raise NumericalError(f"vacuum floor 1/(2 dt) is not finite at "
                                  f"dt = {traces.dt:.3g} s")
-        mean = x.mean(axis=0, dtype=np.float64)
-        cov = (x.T @ x).astype(np.float64)
     cov /= traces.n_events
+    mean = sums / traces.n_events
     cov -= np.outer(mean, mean)
     diag = np.diag_indices(stop - first)
     cov[diag] -= floor
@@ -624,43 +673,82 @@ def realtime_vs_postprocess(traces: TraceSet, filt: MatchedFilter,
 _HEADER = struct.Struct("<IId")
 
 
-def save_traces(traces: TraceSet, fh) -> None:
+def save_traces(traces: TraceSet | SimulatedTraces, fh) -> None:
     """Binary layout: header {n_events u32, n_bins u32, dt_ns f64}, then
     row-major float32 samples, then one float64 phase per event.  Frames are
-    stored relative to the herald (grid centered on t0 = 0)."""
+    stored relative to the herald (grid centered on t0 = 0).  `traces` is a
+    TraceSet or a SimulatedTraces; it is written one block of rows at a
+    time."""
     fh.write(_HEADER.pack(traces.n_events, traces.n_bins, traces.dt * 1e9))
-    fh.write(np.ascontiguousarray(traces.traces, dtype="<f4"))
+    for block in traces.blocks():
+        fh.write(np.ascontiguousarray(block, dtype="<f4"))
     fh.write(np.ascontiguousarray(traces.phases, dtype="<f8"))
 
 
+class TraceFile:
+    """A trace file in `save_traces`'s layout, read one block of rows at a
+    time.
+
+    Opening it reads and checks the header: a finite, positive bin width, a
+    payload and phase block that the rest of the file holds, and a grid and
+    step that pass a TraceSet's checks.  `blocks` reads the payload from the
+    end of the header, so `fh` must be seekable, and checks each block for
+    non-finite values.  It then reads the phases into `phases` and checks
+    that no byte follows them.
+    """
+
+    def __init__(self, fh):
+        head = fh.read(_HEADER.size)
+        if len(head) != _HEADER.size:
+            raise InvalidInputError("truncated trace file header")
+        self.n_events, self.n_bins, dt_ns = _HEADER.unpack(head)
+        self.dt = dt_ns * 1e-9
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise InvalidInputError(f"trace file bin width must be positive, got {dt_ns} ns")
+        declared = (4 * self.n_bins + 8) * self.n_events
+        self._fh, self._start = fh, fh.tell()
+        available = fh.seek(0, io.SEEK_END) - self._start
+        fh.seek(self._start)
+        if available < declared:
+            raise InvalidInputError(
+                f"trace header declares {self.n_events} x {self.n_bins} samples "
+                f"({declared} bytes), but only {available} bytes follow it"
+            )
+        self.t = _grid((np.arange(self.n_bins) - (self.n_bins - 1) / 2.0) * self.dt)
+        _check_step(self.t, self.dt)
+        self.phases = None
+
+    def blocks(self, out=None):
+        """The payload, _BLOCK_ROWS rows at a time: views of `out`, an
+        (n_events, n_bins) float32 array, when it is given, else of one
+        buffer that the next block overwrites."""
+        fh, n = self._fh, self.n_events
+        fh.seek(self._start)
+        if out is None:
+            buf = np.empty((min(_BLOCK_ROWS, n), self.n_bins), dtype="<f4")
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            block = buf[:stop - start] if out is None else out[start:stop]
+            if fh.readinto(block) != block.nbytes:
+                raise InvalidInputError("truncated trace payload")
+            _check_finite(block)
+            yield block
+        phases = np.frombuffer(fh.read(8 * n), dtype="<f8")
+        if phases.size != n:
+            raise InvalidInputError("truncated phase block")
+        if fh.read(1):
+            raise InvalidInputError("trailing bytes after the phase block")
+        self.phases = phases.astype(float)
+
+
 def load_traces(fh) -> TraceSet:
-    head = fh.read(_HEADER.size)
-    if len(head) != _HEADER.size:
-        raise InvalidInputError("truncated trace file header")
-    n_events, n_bins, dt_ns = _HEADER.unpack(head)
-    dt = dt_ns * 1e-9
-    if not (math.isfinite(dt) and dt > 0):
-        raise InvalidInputError(f"trace file bin width must be positive, got {dt_ns} ns")
-    declared = (4 * n_bins + 8) * n_events
-    start = fh.tell()
-    available = fh.seek(0, io.SEEK_END) - start
-    fh.seek(start)
-    if available < declared:
-        raise InvalidInputError(
-            f"trace header declares {n_events} x {n_bins} samples ({declared} "
-            f"bytes), but only {available} bytes follow it"
-        )
-    payload = np.frombuffer(fh.read(4 * n_events * n_bins), dtype="<f4")
-    if payload.size != n_events * n_bins:
-        raise InvalidInputError("truncated trace payload")
-    phases = np.frombuffer(fh.read(8 * n_events), dtype="<f8")
-    if phases.size != n_events:
-        raise InvalidInputError("truncated phase block")
-    if fh.read(1):
-        raise InvalidInputError("trailing bytes after the phase block")
-    t = (np.arange(n_bins) - (n_bins - 1) / 2.0) * dt
-    return TraceSet(traces=payload.reshape(n_events, n_bins),
-                    dt=dt, phases=phases.astype(float), t=t)
+    """The trace set of a file in `save_traces`'s layout, checked as
+    `TraceFile` checks it and read straight into one float32 array."""
+    reader = TraceFile(fh)
+    traces = np.empty((reader.n_events, reader.n_bins), dtype="<f4")
+    for _ in reader.blocks(out=traces):
+        pass
+    return TraceSet(traces=traces, dt=reader.dt, phases=reader.phases, t=reader.t)
 
 
 def mode_to_csv(mode: TemporalMode, fh) -> None:

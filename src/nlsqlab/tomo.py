@@ -95,7 +95,8 @@ class TomographyDataset:
 
     def __post_init__(self):
         phases = np.asarray(self.phases, dtype=float).ravel()
-        values = np.asarray(self.values, dtype=float).ravel()
+        # A copy: the flips below change it in place.
+        values = np.array(self.values, dtype=float).ravel()
         if phases.size != values.size:
             raise InvalidInputError("phases and values must have equal length")
         if phases.size and not (np.all(np.isfinite(phases)) and np.all(np.isfinite(values))):
@@ -104,8 +105,8 @@ class TomographyDataset:
         # A tiny negative phase rounds up to 2*pi, which would fold to pi.
         folded[folded == 2.0 * np.pi] = 0.0
         flip = folded >= np.pi
-        folded = np.where(flip, folded - np.pi, folded)
-        values = np.where(flip, -values, values)
+        np.subtract(folded, np.pi, out=folded, where=flip)
+        np.negative(values, out=values, where=flip)
         folded.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "phases", folded)

@@ -155,6 +155,18 @@ def single_pole_inner_product(g1: float, g2: float) -> float:
     return 2.0 * np.sqrt(g1 * g2) / (g1 + g2)
 
 
+# --- dataset phase folding, with full-size temporaries ----------------------
+
+def fold_dataset(phases, values):
+    """(phases folded into [0, pi), values with the folded ones negated),
+    by np.where on fresh arrays."""
+    folded = np.mod(np.asarray(phases, dtype=float), 2.0 * np.pi)
+    folded[folded == 2.0 * np.pi] = 0.0
+    flip = folded >= np.pi
+    values = np.asarray(values, dtype=float)
+    return np.where(flip, folded - np.pi, folded), np.where(flip, -values, values)
+
+
 # --- homodyne maximum likelihood, einsum reference ---------------------------
 
 def _wavefunctions(dim, x):

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import nlsqlab as nl
 from nlsqlab.cli import _SUBCOMMANDS, build_parser, cmd_gate_noise, main
+from nlsqlab.errors import InvalidInputError
 from nlsqlab.nlsq import variance_from_moments
 
 
@@ -312,6 +314,118 @@ def test_usage_error_from_oversized_trace_header(tmp_path, capsys):
     code, _, err = run_cli(capsys, "pca", "--in", str(traces))
     assert code == 2
     assert "trace header declares" in err
+
+
+BLOCK_ROWS = nl.temporal._BLOCK_ROWS
+SMALL_GRID = ["--frame-ns", "40", "--dt-ns", "0.4"]
+
+
+def _trace_blob(n_events, dt_ns=0.4):
+    """The bytes of a well-formed trace file of uniform samples on 8 bins."""
+    samples = np.random.default_rng(1).uniform(-1.0, 1.0, (n_events, 8))
+    return (struct.pack("<IId", n_events, 8, dt_ns) + samples.astype("<f4").tobytes()
+            + np.zeros(n_events).tobytes())
+
+
+def _nan_in_last_block(blob):
+    """The file of BLOCK_ROWS + 3 events with its last sample NaN."""
+    phases = 8 * (BLOCK_ROWS + 3)
+    return blob[:-phases - 4] + struct.pack("<f", np.nan) + blob[-phases:]
+
+
+#: Each malformed file, and the error that load_traces and `pca --in` name.
+MALFORMED_TRACE_FILES = {
+    "nan-in-last-block": (_nan_in_last_block, "traces contain non-finite values"),
+    "cut-mid-block": (lambda blob: blob[:16 + 4 * 8 * (BLOCK_ROWS + 1) + 2],
+                      f"trace header declares {BLOCK_ROWS + 3} x 8 samples "
+                      f"({40 * (BLOCK_ROWS + 3)} bytes), but only "
+                      f"{4 * 8 * (BLOCK_ROWS + 1) + 2} bytes follow it"),
+    "oversized-header": (lambda blob: struct.pack("<I", 2**20) + blob[4:],
+                         f"trace header declares {2**20} x 8 samples ({40 * 2**20} bytes), "
+                         f"but only {40 * (BLOCK_ROWS + 3)} bytes follow it"),
+    "one-trailing-byte": (lambda blob: blob + b"\0", "trailing bytes after the phase block"),
+    "zero-dt": (lambda blob: blob[:8] + struct.pack("<d", 5e-324) + blob[16:],
+                "trace file bin width must be positive, got 5e-324 ns"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TRACE_FILES)
+def test_block_reader_names_each_fault_for_load_and_pca(tmp_path, capsys, case):
+    # The file spans more than one reader block, so the reader meets each
+    # fault in the payload part way through the file.
+    path = tmp_path / "traces.bin"
+    spoil, message = MALFORMED_TRACE_FILES[case]
+    path.write_bytes(spoil(_trace_blob(BLOCK_ROWS + 3)))
+    with open(path, "rb") as fh, pytest.raises(InvalidInputError) as info:
+        nl.load_traces(fh)
+    assert str(info.value) == message
+    for window in ([], ["--window-ns=-1,0"]):
+        code, out, err = run_cli(capsys, "pca", "--in", str(path), *window)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+
+
+def test_block_reader_keeps_a_subnormal_dt_for_pca_to_reject(tmp_path, capsys):
+    path = tmp_path / "traces.bin"
+    path.write_bytes(_trace_blob(BLOCK_ROWS + 3, dt_ns=1e-310))
+    with open(path, "rb") as fh:
+        assert nl.load_traces(fh).dt == 1e-319
+    code, out, err = run_cli(capsys, "pca", "--in", str(path))
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["numerical error: vacuum floor 1/(2 dt) is not finite "
+                                "at dt = 1e-319 s"]
+
+
+def _traces_argv(path, n_events):
+    return ["traces", "--fock", "1", *SMALL_GRID, "--events", str(n_events),
+            "--seed", "3", "--out", str(path)]
+
+
+@pytest.mark.parametrize("n_events", [1, nl.temporal._CHUNK + 3, BLOCK_ROWS + 1])
+def test_streamed_trace_file_is_the_saved_simulated_set(tmp_path, capsys, n_events):
+    path = tmp_path / "traces.bin"
+    argv = _traces_argv(path, n_events)
+    assert run_cli(capsys, *argv)[0] == 0
+    args = build_parser(argv).parse_args(argv)
+    phases = [math.radians(p) for p in nl.cli._floats(args.phases_deg)]
+    ts = nl.simulate_traces(nl.cli._state_from_options(vars(args), args.deg),
+                            nl.cli._mode_from_options(args), n_events, phases, seed=3)
+    buf = io.BytesIO()
+    nl.save_traces(ts, buf)
+    assert path.read_bytes() == buf.getvalue()
+
+
+@pytest.mark.parametrize("window", [[], ["--window-ns=-30,0"]], ids=["full", "30ns"])
+def test_streamed_pca_is_the_estimate_of_the_loaded_set(tmp_path, capsys, window):
+    path = tmp_path / "traces.bin"
+    assert run_cli(capsys, *_traces_argv(path, 2 * BLOCK_ROWS + 5))[0] == 0
+    code, out, _ = run_cli(capsys, "pca", "--in", str(path), *window)
+    assert code == 0
+    with open(path, "rb") as fh:
+        ts = nl.load_traces(fh)
+    buf = io.StringIO()
+    nl.mode_to_csv(nl.pca_mode_estimate(ts, window=(-30e-9, 0.0) if window else None), buf)
+    assert out == buf.getvalue()
+
+
+def test_trace_file_commands_hold_no_trace_set(tmp_path, capsys):
+    # A held set of 101 float32 bins would add 404 bytes per event; the
+    # per-event arrays (phases, quadratures) add far less than 32.
+    peaks = []
+    for n_events in (2000, 8000):
+        path = tmp_path / f"traces_{n_events}.bin"
+        peaks.append([])
+        for argv in (_traces_argv(path, n_events), ["pca", "--in", str(path)],
+                     ["pca", "--in", str(path), "--window-ns=-30,0"]):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[-1].append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    capsys.readouterr()
+    for small, large in zip(*peaks):
+        assert large <= small + 32 * 6000
 
 
 # ---------------------------------------------------------------------------

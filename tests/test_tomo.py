@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -126,6 +127,34 @@ def test_dataset_leaves_the_caller_arrays_alone(phases):
     assert not (np.shares_memory(ds.phases, phases) or np.shares_memory(ds.values, values))
     assert not (ds.phases.flags.writeable or ds.values.flags.writeable)
     assert np.array_equal(phases, before[0]) and np.array_equal(values, before[1])
+
+
+EDGE_PHASES = [-0.0, -1e-300, np.pi, np.nextafter(2.0 * np.pi, 0.0), 2.0 * np.pi]
+
+
+@given(st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-1e3, 1e3)), min_size=1))
+@example([(p, v) for p in EDGE_PHASES for v in (0.0, -0.0, 1.5)])
+def test_dataset_fold_is_the_where_formula_bit_for_bit(rows):
+    phases, values = map(np.array, zip(*rows))
+    ds = nl.TomographyDataset(phases=phases, values=values)
+    want = oracles.fold_dataset(phases, values)
+    assert ds.phases.tobytes() == want[0].tobytes()
+    assert ds.values.tobytes() == want[1].tobytes()
+
+
+def test_dataset_fold_makes_no_full_size_temporary():
+    # Two new float64 arrays stay, and one bool mask at a time (1/16 of
+    # them) is made beside them.  The np.where fold peaked at 1.56 times
+    # their size.
+    rng = np.random.default_rng(0)
+    phases, values = rng.uniform(-10.0, 10.0, 126000), rng.normal(size=126000)
+    tracemalloc.start()
+    try:
+        nl.TomographyDataset(phases=phases, values=values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.125 * (phases.nbytes + values.nbytes)
 
 
 def test_sample_moments_vacuum():
