@@ -514,12 +514,17 @@ def pca_mode_estimate(traces: TraceSet | TraceFile, window=None) -> TemporalMode
     enter the returned mode as zeros.  Each block adds the float32 Gram
     matrix X^T X of its uncentered window to a float64 Gram, and its float64
     column sums to float64 totals; the outer product of the column means is
-    then subtracted in float64.  Only the two largest eigenpairs of the
-    float64 covariance are computed, by block Lanczos
-    (`_top_two_eigenpairs`), which raises NumericalError when it does not
-    converge.  A vacuum floor or a covariance diagonal that is not finite (a
-    subnormal dt, or samples whose float32 squares overflow) raises
-    NumericalError before the eigensolver starts.
+    then subtracted in float64.  Block Lanczos (`_top_eigenpair`) seeks only
+    the top eigenpair and a value for the second eigenvalue mu2.  It stops
+    once the top pair has converged and the second Ritz value plus its
+    residual lies below half the first, and gives that sum for mu2;
+    otherwise it runs until both pairs have converged, gives the second
+    Ritz value, and raises NumericalError if they do not.  Neither value is
+    a proven upper bound on mu2: both assume the Krylov space has not
+    missed an eigenvalue above the second Ritz value.  AmbiguityError is
+    raised unless mu1 > 0 and mu1 >= 2 mu2.  A vacuum floor or a covariance
+    diagonal that is not finite (a subnormal dt, or samples whose float32
+    squares overflow) raises NumericalError before the eigensolver starts.
     """
     if traces.n_events < MIN_PCA_EVENTS:
         raise InvalidInputError(f"need at least {MIN_PCA_EVENTS} traces")
@@ -551,22 +556,23 @@ def pca_mode_estimate(traces: TraceSet | TraceFile, window=None) -> TemporalMode
     if not np.all(np.isfinite(cov[diag])):
         raise NumericalError("trace covariance is not finite: the samples' "
                              "float32 squares overflow")
-    (mu2, mu1), vecs = _top_two_eigenpairs(cov)
-    if mu1 <= 0 or mu1 < 2.0 * max(mu2, 0.0):
+    mu1, top, second = _top_eigenpair(cov)
+    if mu1 <= 0 or mu1 < 2.0 * max(second, 0.0):
         raise AmbiguityError(
             f"leading covariance eigenvalue {mu1:.3e} is not separated from "
-            f"the next one {mu2:.3e}; no preferred temporal mode"
+            f"the next one {second:.3e}; no preferred temporal mode"
         )
     full = np.zeros(traces.n_bins)
-    full[first:stop] = vecs[:, 1]
+    full[first:stop] = top
     if full[np.argmax(np.abs(full))] < 0:
         full = -full
     return TemporalMode((), (), float(traces.t[stop - 1]), traces.t, full)
 
 
-def _top_two_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two largest eigenvalues of the symmetric matrix `cov`, ascending,
-    and their unit eigenvectors as columns.
+def _top_eigenpair(cov: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(mu1, v, second): the largest eigenvalue of the symmetric matrix
+    `cov`, its unit eigenvector, and the value that `pca_mode_estimate`
+    compares against mu1 / 2 in place of the second eigenvalue.
 
     Block Lanczos with blocks of two vectors (Golub & Van Loan, *Matrix
     Computations*, ch. 10).  A block of two spans both copies of a repeated
@@ -578,23 +584,31 @@ def _top_two_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ch. 6).  Every _LANCZOS_CHECK_EVERY blocks, and whenever the basis
     cannot grow, the residuals ||C y - theta y|| of the top two Ritz pairs,
     read off the part of C times the last block that lies outside the
-    basis, are tested against _LANCZOS_TOL times the largest |Ritz value|;
-    the pairs are returned once both pass.  A basis that fills the space, or
-    an invariant subspace, makes them exact.  Once the basis holds
-    2 * _LANCZOS_MAX_STEPS vectors it raises NumericalError rather than
-    return an unconverged pair.
+    basis, are tested against _LANCZOS_TOL times the largest |Ritz value|.
+    It returns at a test once the top pair passes, theta1 > 0 and
+    theta2 + ||r2|| < theta1 / 2, with `second` = theta2 + ||r2||; otherwise
+    once both pairs pass, with `second` = theta2.  A basis that fills the
+    space, or an invariant subspace, makes them exact.  Neither `second` is
+    a proven upper bound on the second eigenvalue: both assume the Krylov
+    space has not missed an eigenvalue above theta2 (Parlett, ch. 6).  Once
+    the basis holds 2 * _LANCZOS_MAX_STEPS vectors it raises NumericalError
+    rather than return an unconverged pair.
     """
     n = cov.shape[0]
+    # C times each block is scaled by 2**shift, which is exact, so every
+    # iterate is that of C itself; at unit scale no square in a norm
+    # overflows, whatever floor a tiny dt subtracted.
+    shift = -math.frexp(float(np.abs(np.diagonal(cov)).max()))[1]
     size = min(n, 2 * _LANCZOS_MAX_STEPS)
     basis = np.empty((size, n))  # orthonormal rows
-    proj = np.zeros((size, size))  # basis @ cov @ basis.T, block tridiagonal
+    proj = np.zeros((size, size))  # 2**shift basis @ cov @ basis.T, block tridiagonal
     start = np.random.default_rng(0).standard_normal((n, 2))
     basis[:2] = np.linalg.qr(start)[0].T
     lo, hi = 0, 2  # rows of the current block
     step = 0
     while True:
         step += 1
-        w = basis[lo:hi] @ cov
+        w = np.ldexp(basis[lo:hi] @ cov, shift)
         diag = np.zeros((hi - lo, hi - lo))
         for _ in range(2):
             c = w @ basis[:hi].T
@@ -614,13 +628,16 @@ def _top_two_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             theta, s = np.linalg.eigh(proj[:hi, :hi])
             residual = np.linalg.norm(s[lo:hi, -2:].T @ w, axis=1)
             bar = _LANCZOS_TOL * max(-theta[0], theta[-1])
-            if np.all(residual <= bar):
-                return theta[-2:], basis[:hi].T @ s[:, -2:]
+            if residual[1] <= bar:
+                second = theta[-2] if residual[0] <= bar else theta[-2] + residual[0]
+                if residual[0] <= bar or (theta[-1] > 0 and second < theta[-1] / 2.0):
+                    return (math.ldexp(theta[-1], -shift), basis[:hi].T @ s[:, -1],
+                            math.ldexp(second, -shift))
             if grow == 0:
+                r1, r2, bar = (math.ldexp(x, -shift) for x in (*residual[::-1], bar))
                 raise NumericalError(
                     f"PCA eigensolver did not converge in {step} Lanczos steps: "
-                    f"residuals {residual[1]:.2e} and {residual[0]:.2e}, "
-                    f"bar {bar:.2e}")
+                    f"residuals {r1:.2e} and {r2:.2e}, bar {bar:.2e}")
         basis[hi:hi + grow] = q.T[:grow]
         coupling = basis[hi:hi + grow] @ w.T
         proj[hi:hi + grow, lo:hi] = coupling

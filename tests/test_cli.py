@@ -381,6 +381,74 @@ def _traces_argv(path, n_events):
             "--seed", "3", "--out", str(path)]
 
 
+@pytest.fixture(scope="module")
+def two_block_trace_file(tmp_path_factory):
+    """A directory and the bytes of a `traces` file of BLOCK_ROWS + 3
+    events on SMALL_GRID's 101 bins: two reader blocks."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = folder / "traces.bin"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(_traces_argv(path, BLOCK_ROWS + 3)) == 0
+    return folder, path.read_bytes()
+
+
+@st.composite
+def spoiled_trace_files(draw, blob):
+    """`blob` cut at any offset, with any byte flipped, or with 1-16 bytes
+    appended.  Cuts and flips land in the header, the samples or the
+    phases with equal odds, so the 16-byte header is not left to chance."""
+    phases = len(blob) - 8 * (BLOCK_ROWS + 3)
+    region = draw(st.sampled_from([(0, 15), (16, phases - 1), (phases, len(blob) - 1)]))
+    how = draw(st.sampled_from(["cut", "flip", "append"]))
+    if how == "append":
+        return blob + draw(st.binary(min_size=1, max_size=16))
+    at = draw(st.integers(*region))
+    if how == "cut":
+        return blob[:at]
+    spoiled = bytearray(blob)
+    spoiled[at] ^= draw(st.integers(1, 255))
+    return bytes(spoiled)
+
+
+def _exit_code_of_load_traces(path):
+    """The exit code `main` gives the error that load_traces raises."""
+    try:
+        with open(path, "rb") as fh:
+            nl.load_traces(fh)
+    except ValueError:
+        return 2
+    except nl.NumericalError:
+        return 3
+    return 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_block_reader_fuzz_exits_cleanly(two_block_trace_file, data):
+    folder, blob = two_block_trace_file
+    path = folder / "spoiled.bin"
+    path.write_bytes(data.draw(spoiled_trace_files(blob)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _exit_code_of_load_traces(path) in (0, 2, 3)
+        for window in ([], ["--window-ns=-30,0"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["pca", "--in", str(path), *window])
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            assert code == 0 or out.getvalue() == ""
+
+
+def test_pca_of_a_pipe_is_an_io_error(tmp_path):
+    # TraceFile seeks to the end of the file to check the header against its size.
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(nl.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "nlsqlab", "pca", "--in", "/dev/stdin"],
+                          input=_trace_blob(8), capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout) == (4, b"")
+    assert proc.stderr.decode().splitlines() == ["i/o error: [Errno 29] Illegal seek"]
+
+
 @pytest.mark.parametrize("n_events", [1, nl.temporal._CHUNK + 3, BLOCK_ROWS + 1])
 def test_streamed_trace_file_is_the_saved_simulated_set(tmp_path, capsys, n_events):
     path = tmp_path / "traces.bin"
@@ -772,14 +840,23 @@ def test_pca_of_a_zero_event_file_is_a_usage_error(tmp_path, capsys):
     assert err.splitlines()[-1] == "error: need at least 1000 traces"
 
 
+def _floor_is_not_separated(floor):
+    return (f"leading covariance eigenvalue -{floor} is not separated from "
+            f"the next one -{floor}; no preferred temporal mode")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("dt_ns, sample, cause", [
     (1e-300, 1.0, "vacuum floor 1/(2 dt) is not finite at dt = 1e-309 s"),
     (0.2, 3e38, "trace covariance is not finite: the samples' float32 squares overflow"),
-], ids=["subnormal-dt", "huge-samples"])
+    (1e-165, 1.0, _floor_is_not_separated("5.000e+173")),
+    (3.5e-300, 1.0, _floor_is_not_separated("1.429e+308")),
+], ids=["subnormal-dt", "huge-samples", "huge-floor", "near-max-floor"])
 def test_pca_of_a_hostile_file_is_a_numerical_error(tmp_path, capsys, dt_ns, sample, cause):
-    # Both files used to reach the eigensolver as NaN: a RuntimeWarning from
-    # matmul, then "did not converge ... residuals nan".
+    # The first two files used to reach the eigensolver as NaN: a
+    # RuntimeWarning from matmul, then "did not converge ... residuals nan".
+    # The last two have a finite floor whose square (or twice it) overflowed
+    # in the eigensolver: a RuntimeWarning, then "residuals inf".
     n_events, n_bins = 1000, 4
     traces = tmp_path / "hostile.bin"
     values = np.random.default_rng(0).uniform(-1.0, 1.0, (n_events, n_bins)) * sample

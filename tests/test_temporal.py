@@ -713,7 +713,7 @@ def photon_traces():
 
 @pytest.mark.parametrize("window", [None, (-30e-9, 0.0)], ids=["full", "30ns"])
 def test_pca_top_two_eigenpairs_match_full_eigh(monkeypatch, photon_traces, window):
-    real = temporal._top_two_eigenpairs
+    real = temporal._top_eigenpair
     seen = []
 
     def recording(cov):
@@ -721,13 +721,15 @@ def test_pca_top_two_eigenpairs_match_full_eigh(monkeypatch, photon_traces, wind
         seen.append((cov.copy(), result))
         return result
 
-    monkeypatch.setattr(temporal, "_top_two_eigenpairs", recording)
+    monkeypatch.setattr(temporal, "_top_eigenpair", recording)
     est = nl.pca_mode_estimate(photon_traces, window=window)
-    (cov, ((mu2, mu1), _)), = seen
+    (cov, (mu1, _, second)), = seen
     assert cov.dtype == np.float64
     vals, vecs = np.linalg.eigh(cov)
     assert mu1 == pytest.approx(vals[-1], rel=1e-9)
-    assert mu2 == pytest.approx(vals[-2], rel=1e-9)
+    # theta2 on the full path, theta2 + ||r2|| on the early exit
+    assert second >= vals[-2] * (1.0 - 1e-9)
+    assert second < mu1 / 2.0
     top = np.zeros(photon_traces.n_bins)
     keep = np.ones(top.size, dtype=bool) if window is None else (
         (photon_traces.t >= window[0]) & (photon_traces.t <= window[1]))
@@ -740,17 +742,55 @@ def test_pca_top_two_eigenpairs_match_full_eigh(monkeypatch, photon_traces, wind
     (2.0, 1.0, False), (2.0 - 1e-9, 1.0, True), (1.0, -3.0, False),
     (0.0, -1.0, True), (-1.0, -2.0, True)])
 def test_pca_ambiguity_threshold(monkeypatch, photon_traces, mu1, mu2, ambiguous):
-    real = temporal._top_two_eigenpairs
+    real = temporal._top_eigenpair
 
     def fixed_values(cov):
-        return np.array([mu2, mu1]), real(cov)[1]
+        return mu1, real(cov)[1], mu2
 
-    monkeypatch.setattr(temporal, "_top_two_eigenpairs", fixed_values)
+    monkeypatch.setattr(temporal, "_top_eigenpair", fixed_values)
     if ambiguous:
         with pytest.raises(AmbiguityError):
             nl.pca_mode_estimate(photon_traces, window=(-30e-9, 0.0))
     else:
         nl.pca_mode_estimate(photon_traces, window=(-30e-9, 0.0))
+
+
+@pytest.mark.parametrize("mu2", [0.45, 0.49, 0.51, 0.55])
+def test_pca_early_exit_decides_planted_spectra_as_eigvalsh(monkeypatch, mu2):
+    # mu1 = 1, mu2 and a bulk on [0, 0.3] in a random orthonormal basis v of
+    # the 151 bins of the default 30-ns window.  Each event holds +-sqrt(n)
+    # times a column of v diag(sqrt(lam + floor)) v^T, so the covariance
+    # less the floor 1/(2 dt) = 1 is the planted one up to float32 round-off.
+    n, dt = 151, 0.5
+    rng = np.random.default_rng(3)
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = np.r_[1.0, mu2, rng.uniform(0.0, 0.3, n - 2)]
+    root = (v * np.sqrt(lam + 1.0 / (2.0 * dt))) @ v.T * math.sqrt(n)
+    traces = np.tile(np.concatenate([root, -root]), (4, 1))
+    ts = nl.TraceSet(traces=traces, dt=dt, phases=np.zeros(len(traces)),
+                     t=(np.arange(n) - (n - 1) / 2.0) * dt)
+    real = temporal._top_eigenpair
+    seen = []
+
+    def recording(cov):
+        result = real(cov)
+        seen.append((cov, result))
+        return result
+
+    monkeypatch.setattr(temporal, "_top_eigenpair", recording)
+    try:
+        nl.pca_mode_estimate(ts)
+        ambiguous = False
+    except AmbiguityError:
+        ambiguous = True
+    (cov, (_, _, second)), = seen
+    vals = np.linalg.eigvalsh(cov)
+    assert ambiguous == (vals[-1] < 2.0 * vals[-2]) == (mu2 > 0.5)
+    assert second >= vals[-2] * (1.0 - 1e-9)
+    if mu2 in (0.49, 0.51):
+        # Next to the line, both pairs converge before theta2 + ||r2|| clears
+        # it (on 16 random bases of this size, all of them): the full path.
+        assert second == pytest.approx(vals[-2], rel=1e-9)
 
 
 @pytest.mark.parametrize("n_bins", [300, 1001])
@@ -781,10 +821,10 @@ def test_pca_eigensolver_finds_both_copies_of_a_repeated_eigenvalue(monkeypatch,
     if rotated:
         v = np.linalg.qr(rng.standard_normal((300, 300)))[0]
         cov = (v * eigenvalues) @ v.T
-    (mu2, mu1), vecs = temporal._top_two_eigenpairs(cov)
+    mu1, top, mu2 = temporal._top_eigenpair(cov)
     assert mu1 == pytest.approx(10.0, rel=1e-12)
     assert mu2 == pytest.approx(10.0, rel=1e-12)
-    assert np.abs(cov @ vecs - 10.0 * vecs).max() <= 1e-7
+    assert np.abs(cov @ top - 10.0 * top).max() <= 1e-7
 
 
 def test_pca_eigensolver_stops_at_an_invariant_subspace():
@@ -792,10 +832,10 @@ def test_pca_eigensolver_stops_at_an_invariant_subspace():
     # two blocks, and what is left of C times the next block is round-off
     # (exact zeros here) that must not enter the basis.
     cov = np.diag(np.r_[0.0, 5.0, 5.0, np.ones(297)])
-    (mu2, mu1), vecs = temporal._top_two_eigenpairs(cov)
+    mu1, top, mu2 = temporal._top_eigenpair(cov)
     assert mu1 == pytest.approx(5.0, rel=1e-12)
     assert mu2 == pytest.approx(5.0, rel=1e-12)
-    assert np.abs(vecs[[1, 2]].T @ vecs[[1, 2]] - np.eye(2)).max() <= 1e-12
+    assert np.linalg.norm(top[[1, 2]]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pca_eigensolver_step_cap_raises(monkeypatch, photon_traces):
@@ -812,9 +852,9 @@ def test_pca_subtracts_the_mean_of_a_displaced_state(monkeypatch, alpha):
     state = nl.QuantumState(oracles.displace(nl.fock_state(1, 60).matrix, alpha))
     mode = default_composite()
     ts = nl.simulate_traces(state, mode, 10000, [0.0], seed=23)
-    real = temporal._top_two_eigenpairs
+    real = temporal._top_eigenpair
     seen = []
-    monkeypatch.setattr(temporal, "_top_two_eigenpairs",
+    monkeypatch.setattr(temporal, "_top_eigenpair",
                         lambda cov: seen.append(cov) or real(cov))
     est = nl.pca_mode_estimate(ts, window=(-30e-9, 0.0))
     (cov,) = seen
