@@ -87,7 +87,10 @@ class TomographyDataset:
     """Phase-tagged quadrature records.
 
     Phases are folded into [0, pi); folding a phase by pi flips the sign of
-    its quadrature values.
+    its quadrature values.  np.mod runs only on the phases outside
+    [0, 2*pi), since it returns a phase inside unchanged.  `sample`,
+    `pipeline` and the CSV reader give phases inside, so their fold does
+    no division.
     """
 
     phases: np.ndarray
@@ -101,10 +104,16 @@ class TomographyDataset:
             raise InvalidInputError("phases and values must have equal length")
         if phases.size and not (np.all(np.isfinite(phases)) and np.all(np.isfinite(values))):
             raise InvalidInputError("dataset contains non-finite entries")
-        folded = np.mod(phases, 2.0 * np.pi)
-        # A tiny negative phase rounds up to 2*pi, which would fold to pi.
-        folded[folded == 2.0 * np.pi] = 0.0
-        flip = folded >= np.pi
+        # A copy for the folds below; adding 0.0 turns -0.0 into 0.0, as
+        # np.mod does.  One bool mask, refilled for each step, picks the
+        # phases each step changes.
+        folded = np.add(phases, 0.0)
+        mask = np.less(folded, 0.0)
+        np.mod(folded, 2.0 * np.pi, out=folded, where=mask)
+        # A tiny negative phase rounds up to 2*pi there; this folds it to 0.0.
+        np.greater_equal(folded, 2.0 * np.pi, out=mask)
+        np.mod(folded, 2.0 * np.pi, out=folded, where=mask)
+        flip = np.greater_equal(folded, np.pi, out=mask)
         np.subtract(folded, np.pi, out=folded, where=flip)
         np.negative(values, out=values, where=flip)
         folded.setflags(write=False)
@@ -155,23 +164,35 @@ def _lo_phases(phases) -> np.ndarray:
     return arr
 
 
+def _lookup(row: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.interp(u, row, x) for uniforms u in [0, 1].
+
+    u is visited in the order of a stable sort of the 16-bit keys
+    floor(65535 u), which numpy runs as a radix sort, and the values are
+    put back in their slots.  Queries in key order lie close together, so
+    np.interp, which starts each binary search at the previous query's bin,
+    finds the bin at once.  The bin found does not depend on where the
+    search starts, so the order cannot change a value.
+    """
+    order = np.argsort((u * 65535.0).astype(np.uint16), kind="stable")
+    q = np.empty(u.size)
+    q[order] = np.interp(u[order], row, x)
+    return q
+
+
 def _draw(state: QuantumState, phases: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF quadrature samples: uniform u[i] mapped through the
     state's quadrature CDF at LO phase phases[i], one table row per
-    distinct phase.
-
-    Each phase's uniforms are looked up in sorted order, so that np.interp,
-    which starts each binary search at the previous query's bin, finds the
-    bin at once.  The bin found does not depend on where the search starts,
-    so the order cannot change a sample.
+    distinct phase, each phase's uniforms through `_lookup`.  `sample`
+    draws its contiguous phase blocks through `_lookup` straight, with no
+    scan of the phases.
     """
     lo = np.unique(phases)
     x, cdf = _cdf_tables(state, lo)
     q = np.empty(u.size)
     for phase, row in zip(lo, cdf):
         idx = np.flatnonzero(phases == phase)
-        idx = idx[np.argsort(u[idx])]
-        q[idx] = np.interp(u[idx], row, x)
+        q[idx] = _lookup(row, x, u[idx])
     return q
 
 
@@ -181,14 +202,18 @@ def sample(state: QuantumState, phases=DEFAULT_PHASES,
 
     Each phase consumes an independent child stream of the master seed, so
     per-phase sampling may run in parallel without changing the result.
+    One CDF row is built per distinct phase, and each stream's uniforms go
+    through its phase's row into that phase's block of the output.
     """
     if n_per_phase < 1:
         raise InvalidInputError("n_per_phase must be at least 1")
     phases = _lo_phases(phases)
-    children = np.random.SeedSequence(seed).spawn(phases.size)
-    u = np.concatenate([np.random.default_rng(c).random(n_per_phase) for c in children])
-    per_sample = np.repeat(phases, n_per_phase)
-    return TomographyDataset(phases=per_sample, values=_draw(state, per_sample, u))
+    lo, inv = np.unique(phases, return_inverse=True)
+    x, cdf = _cdf_tables(state, lo)
+    values = np.empty((phases.size, n_per_phase))
+    for block, k, child in zip(values, inv, np.random.SeedSequence(seed).spawn(phases.size)):
+        block[:] = _lookup(cdf[k], x, np.random.default_rng(child).random(n_per_phase))
+    return TomographyDataset(phases=np.repeat(phases, n_per_phase), values=values)
 
 
 # ---------------------------------------------------------------------------

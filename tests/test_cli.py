@@ -718,6 +718,55 @@ def test_reconstruct_rejects_malformed_dataset(tmp_path, capsys, body, line):
             f"error: dataset line {line}: rows need two numeric fields")
 
 
+@pytest.fixture(scope="module")
+def small_dataset_file(tmp_path_factory):
+    """A directory and the bytes of a `sample` CSV of 6 x 4 rows."""
+    folder = tmp_path_factory.mktemp("csv_fuzz")
+    path = folder / "data.csv"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["sample", "--fock", "1", "--n-per-phase", "4", "--seed", "2",
+                     "--out", str(path)]) == 0
+    return folder, path.read_bytes()
+
+
+# Appended bytes: any, or a byte-order mark, a NUL, a three-field row and
+# non-finite fields.
+HOSTILE_TAILS = [b"\xef\xbb\xbf", b"\x00", b"\xff", b"0.0,1.0,2.0\n", b"nan,1.0\n",
+                 b"0.0,1e999\n", b"1e308,-1e308\n", b"\r\n\r\n30.0,\r\n"]
+
+
+@st.composite
+def spoiled_dataset_files(draw, blob):
+    """`blob` cut at any offset, with any byte flipped, or with bytes appended."""
+    how = draw(st.sampled_from(["cut", "flip", "append"]))
+    if how == "append":
+        return blob + draw(st.one_of(st.binary(min_size=1, max_size=16),
+                                     st.sampled_from(HOSTILE_TAILS)))
+    at = draw(st.integers(0, len(blob) - 1))
+    if how == "cut":
+        return blob[:at]
+    spoiled = bytearray(blob)
+    spoiled[at] ^= draw(st.integers(1, 255))
+    return bytes(spoiled)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_dataset_reader_fuzz_exits_cleanly(small_dataset_file, data):
+    folder, blob = small_dataset_file
+    path = folder / "spoiled.csv"
+    path.write_bytes(data.draw(spoiled_dataset_files(blob)))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["reconstruct", "--in", str(path)])
+    # A file can survive its damage, say a flipped digit or a cut at a row's end.
+    assert code in (0, 2, 4)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or out.getvalue() == ""
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_reconstruct_rejects_impossible_tolerance(tmp_path, capsys, tol):
     data = tmp_path / "data.csv"

@@ -129,10 +129,13 @@ def test_dataset_leaves_the_caller_arrays_alone(phases):
     assert np.array_equal(phases, before[0]) and np.array_equal(values, before[1])
 
 
-EDGE_PHASES = [-0.0, -1e-300, np.pi, np.nextafter(2.0 * np.pi, 0.0), 2.0 * np.pi]
+# -1e-17 and -5e-324 go through np.mod to 2*pi, and from there to 0.0.
+EDGE_PHASES = [-0.0, -1e-300, np.pi, np.nextafter(2.0 * np.pi, 0.0), 2.0 * np.pi,
+               -2.0 * np.pi, 4.0 * np.pi, -1e-17, 1e300, -1e300, 5e-324, -5e-324]
 
 
-@given(st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-1e3, 1e3)), min_size=1))
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(-1e3, 1e3)), min_size=1))
 @example([(p, v) for p in EDGE_PHASES for v in (0.0, -0.0, 1.5)])
 def test_dataset_fold_is_the_where_formula_bit_for_bit(rows):
     phases, values = map(np.array, zip(*rows))
@@ -246,6 +249,27 @@ def test_draw_equals_per_element_interp_bit_for_bit(layout):
         expected = np.array([np.interp(ui, tables[p][1], tables[p][0])
                              for p, ui in zip(phases, u)])
         assert tomo._draw(state, phases, u).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("phases", [[7.0, -1.0, 0.5, 0.5, 3.5, -0.0],
+                                    [0.0, 2.0 * np.pi, -0.0, -2.0 * np.pi, 1e-17, -1e-17]],
+                         ids=["unsorted-repeated-negative", "zeros"])
+@pytest.mark.parametrize("dim", [2, 5, 12])
+def test_sample_blocks_are_the_generic_draw_bit_for_bit(phases, dim):
+    # sample maps each child stream through its phase's CDF row into its own
+    # block; _draw finds each phase's samples by scanning the phases.
+    rng = np.random.default_rng(dim)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    state = nl.QuantumState(rho / np.trace(rho).real)
+    p, n, seed = np.array(phases), 700, 34
+    u = np.concatenate([np.random.default_rng(c).random(n)
+                        for c in np.random.SeedSequence(seed).spawn(p.size)])
+    got = nl.sample(state, phases=phases, n_per_phase=n, seed=seed)
+    want = nl.TomographyDataset(phases=np.repeat(p, n),
+                                values=tomo._draw(state, np.repeat(p, n), u))
+    assert got.phases.tobytes() == want.phases.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
