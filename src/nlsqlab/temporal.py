@@ -38,8 +38,8 @@ DEFAULT_CAVITY_HWHM_HZ = (33.7e6, 140.1e6, 90.9e6)
 MIN_CAPTURED_NORM = 0.999
 MIN_PCA_EVENTS = 1000
 #: Trace rows that simulation and projection handle at a time; on the
-#: default grid a float32 block (0.5 MB) and its float64 cast (1 MB) stay in
-#: cache between their steps.
+#: default grid a float32 block (0.5 MB) and the float64 uniforms it is drawn
+#: from or its float64 cast (1 MB) stay in cache between their steps.
 _CHUNK = 128
 #: Trace rows that the trace-file reader and PCA take at a time: a 4-MB
 #: float32 block on the default grid.  PCA adds each block's float32 Gram to
@@ -444,17 +444,28 @@ class SimulatedTraces:
 
     def blocks(self):
         """The rows, _CHUNK at a time, each in one buffer that the next
-        block overwrites.  The Generator fills a block with the next values
-        of its stream, so the rows do not depend on _CHUNK."""
-        f, dt = self._f, self.dt
-        scale = np.float32(1.0 / math.sqrt(2.0 * dt))
+        block overwrites.
+
+        Each row's noise is the Box-Muller transform of the next 2m float64
+        uniforms u of the stream, m = ceil(n_bins/2): radii
+        r = sqrt(-2 ln(1 - u)/(2 dt)) from the first m, computed in float64
+        (so no log(0), and a tail out to 8.6 standard deviations) and then
+        rounded to float32, and float32 angles 2 pi u from the next m.  Bins
+        [0, m) get r cos, and the other n_bins - m bins get r sin of the
+        first n_bins - m angles.  A row reads only its own uniforms, so the
+        rows do not depend on _CHUNK."""
+        f, dt, n = self._f, self.dt, self.n_bins
+        m = (n + 1) // 2
         f32 = f.astype(np.float32)
         rng = np.random.default_rng(self._noise_seed)
-        buf = np.empty((min(_CHUNK, self.n_events), self.n_bins), dtype=np.float32)
+        buf = np.empty((min(_CHUNK, self.n_events), n), dtype=np.float32)
         for start in range(0, self.n_events, _CHUNK):
             block = buf[:min(_CHUNK, self.n_events - start)]
-            rng.standard_normal(block.shape, dtype=np.float32, out=block)
-            block *= scale
+            u = rng.random((block.shape[0], 2 * m))
+            r = np.sqrt(np.log(1.0 - u[:, :m]) / -dt).astype(np.float32)
+            angle = (u[:, m:] * (2.0 * np.pi)).astype(np.float32)
+            np.multiply(np.cos(angle), r, out=block[:, :m])
+            np.multiply(np.sin(angle[:, :n - m]), r[:, :n - m], out=block[:, m:])
             q = self._q[start:start + _CHUNK]
             block -= np.outer((block @ f * dt - q).astype(np.float32), f32)
             yield block
@@ -466,11 +477,12 @@ def simulate_traces(state: QuantumState, mode: TemporalMode, n_events: int,
 
     q is drawn from the state's quadrature distribution at each trace's LO
     phase; the additive noise is white with the vacuum variance per mode on
-    the grid, with its component along f removed.  The noise is drawn as
-    float32 normals, one block of rows at a time (`SimulatedTraces`), and
-    each row then has its float64 projection on f, minus q, subtracted
-    along f once.  Integrating a trace against f therefore gives back the
-    drawn quadrature sample up to float32 round-off.
+    the grid, with its component along f removed.  The noise is drawn one
+    block of rows at a time (`SimulatedTraces.blocks`), as float32 normals
+    made by the Box-Muller transform from float64 uniforms, and each row
+    then has its float64 projection on f, minus q, subtracted along f once.
+    Integrating a trace against f therefore gives back the drawn quadrature
+    sample up to float32 round-off.
     """
     sim = SimulatedTraces(state, mode, n_events, phases, seed)
     traces = np.empty((n_events, sim.n_bins), dtype=np.float32)

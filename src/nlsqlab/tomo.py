@@ -431,20 +431,24 @@ def read_dataset_csv(fh) -> TomographyDataset:
     CRLF endings, blank and whitespace-only lines and spaces around fields
     are accepted.  Degrees become radians through np.radians, which rounds
     as math.radians does.  A row that is not two numeric fields raises
-    InvalidInputError naming its line (see _malformed_row), and so does a
-    row holding NaN or infinity.
+    InvalidInputError naming its line (see _malformed_row), and so do a
+    row holding NaN or infinity and a line that is not text in the file's
+    encoding.
     """
-    header = fh.readline().strip()
+    try:
+        header = fh.readline().strip()
+        lines = filter(None, map(str.strip, fh))
+        first = next(lines, None)
+    except UnicodeDecodeError:
+        raise InvalidInputError(_malformed_row(fh)) from None
     if header != "phase_deg,quadrature":
         raise InvalidInputError(f"unexpected dataset header {header!r}")
-    lines = filter(None, map(str.strip, fh))
-    first = next(lines, None)
     if first is None:  # header only; loadtxt would warn about an empty body
         return TomographyDataset(phases=np.empty(0), values=np.empty(0))
     try:
         table = np.loadtxt(itertools.chain((first,), lines), delimiter=",",
                            comments=None, ndmin=2)
-    except ValueError:
+    except ValueError:  # UnicodeDecodeError among them
         table = None
     if table is None or table.shape[1] != 2 or not np.isfinite(table).all():
         raise InvalidInputError(_malformed_row(fh))
@@ -452,16 +456,26 @@ def read_dataset_csv(fh) -> TomographyDataset:
 
 
 def _malformed_row(fh) -> str:
-    """Message naming the first row that is not two numeric fields, NaN and
+    """Message naming the first line that is not text in the stream's
+    encoding, or the first row that is not two numeric fields, NaN and
     infinity counting as not numeric, by its line in the file (the header is
     line 1).  The stream is read again from its start, so the search costs
-    nothing until a file is rejected."""
+    nothing until a file is rejected.  A text file is read again through its
+    byte buffer, split where text mode splits lines (LF, CR-LF or CR): its
+    decoder fails on a whole read-ahead block, not on the bad line."""
     if fh.seekable():
         fh.seek(0)
-        next(fh)  # the header, checked already
-        for lineno, line in enumerate(fh, start=2):
+        raw = getattr(fh, "buffer", None)
+        lines = fh if raw is None else itertools.chain.from_iterable(
+            line.splitlines() for line in raw)
+        for lineno, line in enumerate(lines, start=1):
+            if raw is not None:
+                try:
+                    line = line.decode(fh.encoding)
+                except UnicodeDecodeError:
+                    return f"dataset line {lineno}: not {fh.encoding} text"
             row = line.strip()
-            if not row:
+            if lineno == 1 or not row:  # the header is no row
                 continue
             try:
                 parsed = np.loadtxt([row], delimiter=",", comments=None, ndmin=2)

@@ -281,10 +281,14 @@ def grid_local_minima(vals):
 
 def traces_one_shot(quadrature_cdf, f, dt, n_events, phases, seed):
     """Homodyne records q*f(t) + vacuum noise orthogonal to f, with all the
-    float32 noise drawn in one call.  `quadrature_cdf(phase)` gives the
-    (x, cdf) table the quadratures are drawn from by inverse transform.
-    Each row's float64 projection on f, minus q, is removed along f in
-    float32.  Returns the float32 traces (n_events, f.size)."""
+    uniforms of the noise drawn in one call.  `quadrature_cdf(phase)` gives
+    the (x, cdf) table the quadratures are drawn from by inverse transform.
+    Each row of n bins takes 2m uniforms, m = ceil(n/2): Box-Muller radii of
+    variance 1/dt per pair from the first m (float64, then float32), float32
+    angles from the last m, the cosines in bins [0, m) and the sines of the
+    first n - m angles after them.  Each row's float64 projection on f,
+    minus q, is removed along f in float32.  Returns the float32 traces
+    (n_events, f.size)."""
     phase_per_event = np.resize(np.asarray(phases, dtype=float), n_events)
     rng_q, rng_noise = (np.random.default_rng(c)
                         for c in np.random.SeedSequence(seed).spawn(2))
@@ -294,8 +298,11 @@ def traces_one_shot(quadrature_cdf, f, dt, n_events, phases, seed):
         idx = np.flatnonzero(phase_per_event == phase)
         x, cdf = quadrature_cdf(float(phase))
         q[idx] = np.interp(u[idx], cdf, x)
-    x = rng_noise.standard_normal((n_events, f.size), dtype=np.float32)
-    x *= np.float32(1.0 / np.sqrt(2.0 * dt))
+    m = (f.size + 1) // 2
+    u = rng_noise.random((n_events, 2 * m))
+    radius = np.sqrt(-np.log(1.0 - u[:, :m]) / dt).astype(np.float32)
+    angle = (2.0 * np.pi * u[:, m:]).astype(np.float32)
+    x = np.hstack([radius * np.cos(angle), radius * np.sin(angle)])[:, :f.size]
     coef = x @ f * dt - q
     return x - np.outer(coef.astype(np.float32), f.astype(np.float32))
 

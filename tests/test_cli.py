@@ -718,6 +718,25 @@ def test_reconstruct_rejects_malformed_dataset(tmp_path, capsys, body, line):
             f"error: dataset line {line}: rows need two numeric fields")
 
 
+@pytest.mark.parametrize("text, line", [
+    (b"phase_deg,quadrature\n" + b"0.0,1.0\n" * 8 + b"0.0,1.0\xff\n" + b"0.0,1.0\n" * 20, 10),
+    (b"phase_deg,quadrature\r\n0.0,1.0\r\n\r\n30.0,\xe2\x82\r\n", 4),
+    (b"phase_deg,quadrature\r0.0,1.0\r\xc3\x28,1.0\r", 3),
+    (b"phase_deg\xff,quadrature\n0.0,1.0\n", 1),
+    (b"phase_deg,quadrature\n0.0,1.0\n30.0,2.0\xe2", 3),
+], ids=["lf", "crlf", "cr", "header", "cut-at-end"])
+def test_reconstruct_names_a_line_that_is_not_text(tmp_path, capsys, text, line):
+    # the decoder fails on a whole read-ahead block; the message names the
+    # line as text mode counts lines, the header being line 1
+    data = tmp_path / "data.csv"
+    data.write_bytes(text)
+    with open(data) as fh:
+        encoding = fh.encoding
+    code, out, err = run_cli(capsys, "reconstruct", "--in", str(data))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: dataset line {line}: not {encoding} text"]
+
+
 @pytest.fixture(scope="module")
 def small_dataset_file(tmp_path_factory):
     """A directory and the bytes of a `sample` CSV of 6 x 4 rows."""
@@ -736,7 +755,7 @@ HOSTILE_TAILS = [b"\xef\xbb\xbf", b"\x00", b"\xff", b"0.0,1.0,2.0\n", b"nan,1.0\
 
 
 @st.composite
-def spoiled_dataset_files(draw, blob):
+def spoiled_files(draw, blob):
     """`blob` cut at any offset, with any byte flipped, or with bytes appended."""
     how = draw(st.sampled_from(["cut", "flip", "append"]))
     if how == "append":
@@ -755,13 +774,35 @@ def spoiled_dataset_files(draw, blob):
 def test_dataset_reader_fuzz_exits_cleanly(small_dataset_file, data):
     folder, blob = small_dataset_file
     path = folder / "spoiled.csv"
-    path.write_bytes(data.draw(spoiled_dataset_files(blob)))
+    path.write_bytes(data.draw(spoiled_files(blob)))
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["reconstruct", "--in", str(path)])
     # A file can survive its damage, say a flipped digit or a cut at a row's end.
+    assert code in (0, 2, 4)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or out.getvalue() == ""
+
+
+#: A `--config` file for `nlsq` that sets a list, a switch, numbers, a key of
+#: another subcommand and a null; one flipped byte leaves every number small.
+CONFIG_BLOB = json.dumps({"coeffs": ["0.79", "0-0.61j"], "vacuum": False, "loss": 0.25,
+                          "dim": 6, "kappa": 1.0, "order": 3, "events": 9,
+                          "phases_deg": None}).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(spoiled=spoiled_files(CONFIG_BLOB))
+def test_config_reader_fuzz_exits_cleanly(tmp_path_factory, spoiled):
+    path = tmp_path_factory.mktemp("config_fuzz") / "cfg.json"
+    path.write_bytes(spoiled)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--config", str(path), "nlsq"])
     assert code in (0, 2, 4)
     assert "Traceback" not in err.getvalue()
     assert code == 0 or out.getvalue() == ""

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -294,8 +295,8 @@ SEARCHED_TARGETS = [
      0.9187903252949664),
     (lambda: nl.single_pole_mode(1e9, 0.0, nl.default_grid()),
      0.8187307530779822),
-    (lambda: _pca_estimate((-30e-9, 0.0)), 0.9889934826751389),
-    (lambda: _pca_estimate((-60e-9, 0.0)), 0.9801130121935817),
+    (lambda: _pca_estimate((-30e-9, 0.0)), 0.9905136275758567),
+    (lambda: _pca_estimate((-60e-9, 0.0)), 0.9796278048360103),
 ]
 
 
@@ -578,6 +579,51 @@ def test_blocked_simulation_matches_one_shot_reference(n_events):
     assert ts.traces.dtype == np.float32
     assert ref.dtype == np.float32
     assert ts.traces.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [7, CHUNK, 1000])
+@pytest.mark.parametrize("n_bins", [1001, 1000], ids=["odd-bins", "even-bins"])
+def test_trace_rows_do_not_depend_on_the_chunk_size(monkeypatch, chunk, n_bins):
+    # Each row reads its own 2 * ceil(n_bins / 2) uniforms, so every block
+    # size gives the one-shot reference's bytes; 1003 rows leave a partial
+    # last block at 7 and at 1000.
+    t = nl.default_grid()[:n_bins]
+    mode = nl.composite_mode(nl.default_gammas(), 0.0, t)
+    state = nl.fock_state(1, 5)
+    monkeypatch.setattr(temporal, "_CHUNK", chunk)
+    ts = nl.simulate_traces(state, mode, 1003, PHASES, seed=8)
+    x, cdf = tomo._cdf_tables(state, np.unique(PHASES))
+    rows = dict(zip(np.unique(PHASES), cdf))
+    ref = oracles.traces_one_shot(lambda phase: (x, rows[phase]),
+                                  mode.samples, mode.dt, 1003, PHASES, seed=8)
+    assert ts.traces.tobytes() == ref.tobytes()
+
+
+def test_trace_noise_is_standard_normal():
+    # A mode on the last bin alone leaves every other bin its raw noise
+    # (minus an exact 0 along f), and dt = 0.5 makes that noise N(0, 1):
+    # 2000 rows x 1000 bins, n = 2e6 draws.  Each moment or tail fraction
+    # must lie within 5 standard errors of its N(0, 1) value: sqrt(2/n) for
+    # the variance, sqrt((105 - 9)/n) for the fourth moment,
+    # sqrt(p (1 - p)/n) for the fraction p beyond 3 and beyond 4, and
+    # 1/sqrt(n') for the mean product of the cosine and sine bins of one
+    # uniform pair, n' = 2000 * 499 pairs.  The KS test against N(0, 1) must
+    # give p > 1e-3.
+    t = np.arange(1001) * 0.5
+    samples = np.zeros(t.size)
+    samples[-1] = 1.0
+    mode = nl.TemporalMode((), (), float(t[-1]), t, samples)
+    noise = nl.simulate_traces(nl.fock_state(0, 2), mode, 2000, [0.0], seed=9).traces[:, :-1]
+    x = noise.astype(np.float64).ravel()
+    n = x.size
+    assert scipy.stats.kstest(x, "norm").pvalue > 1e-3
+    assert abs(np.mean(x ** 2) - 1.0) <= 5.0 * math.sqrt(2.0 / n)
+    assert abs(np.mean(x ** 4) - 3.0) <= 5.0 * math.sqrt(96.0 / n)
+    for k in (3.0, 4.0):
+        p = math.erfc(k / math.sqrt(2.0))
+        assert abs(np.mean(np.abs(x) > k) - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
+    pairs = noise[:, :499].astype(np.float64) * noise[:, 501:]
+    assert abs(np.mean(pairs)) <= 5.0 / math.sqrt(pairs.size)
 
 
 @pytest.fixture(scope="module")

@@ -251,6 +251,31 @@ def test_draw_equals_per_element_interp_bit_for_bit(layout):
         assert tomo._draw(state, phases, u).tobytes() == expected.tobytes()
 
 
+def test_lookup_queries_interp_in_key_order(monkeypatch):
+    # np.interp finds each bin at once only when its queries come in key
+    # order; a 16-bit key that wrapped at u = 1.0 would send those queries
+    # to the front.  The order must not change a value.
+    rng = np.random.default_rng(31)
+    u = np.concatenate([rng.random(5000), np.zeros(7), np.ones(7)])
+    rng.shuffle(u)
+    row = np.concatenate([[0.0], np.sort(rng.random(255)), [1.0]])
+    x = np.linspace(-6.0, 6.0, row.size)
+    queries = []
+    interp = np.interp
+
+    def spy(q, xp, fp):
+        queries.append(np.array(q))
+        return interp(q, xp, fp)
+
+    monkeypatch.setattr(np, "interp", spy)
+    got = tomo._lookup(row, x, u)
+    monkeypatch.undo()
+    (seen,) = queries
+    assert np.array_equal(np.sort(seen), np.sort(u))
+    assert np.all(np.diff(np.floor(seen * 65535.0)) >= 0)
+    assert got.tobytes() == np.interp(u, row, x).tobytes()
+
+
 @pytest.mark.parametrize("phases", [[7.0, -1.0, 0.5, 0.5, 3.5, -0.0],
                                     [0.0, 2.0 * np.pi, -0.0, -2.0 * np.pi, 1e-17, -1e-17]],
                          ids=["unsorted-repeated-negative", "zeros"])
